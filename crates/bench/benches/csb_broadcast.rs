@@ -1,11 +1,10 @@
-//! Per-microop vs program-granularity broadcast throughput.
+//! Program-granularity broadcast throughput.
 //!
-//! The PR 2 tentpole: compiling a vector instruction once and fanning the
-//! whole microop program out over the persistent worker pool should beat
-//! re-broadcasting (and re-deriving) each microop individually. This
-//! bench measures whole `vadd.vv` executions through both sequencer paths
-//! at 1k/2k/4k chains, plus the bulk transposed vector I/O against the
-//! per-element path it replaced.
+//! A vector instruction is compiled once and its whole microop program
+//! fans out over the persistent worker pool in one broadcast. This bench
+//! measures whole `vadd.vv` executions through that path at 1k/2k/4k
+//! chains, plus the bulk transposed vector I/O against the per-element
+//! path it replaced.
 //!
 //! The PR 4 tentpole adds the `block_kernel` group: whole instructions
 //! through the block-SoA kernels (16 chains per block, auto-vectorized
@@ -48,10 +47,6 @@ fn bench_vadd_paths(c: &mut Criterion) {
     g.sample_size(10);
     for chains in [1024usize, 2048, 4096] {
         let compiled = CompiledOp::compile(&VADD, 32);
-        let mut per_op = csb(chains);
-        g.bench_with_input(BenchmarkId::new("per_microop", chains), &chains, |b, _| {
-            b.iter(|| Sequencer::new(&mut per_op).run_per_op(&compiled))
-        });
         let mut program = csb(chains);
         g.bench_with_input(BenchmarkId::new("program", chains), &chains, |b, _| {
             b.iter(|| Sequencer::new(&mut program).run_program(&compiled))

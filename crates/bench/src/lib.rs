@@ -181,10 +181,10 @@ pub mod fusion {
     /// The fifth group is a *two-stage* probe: a coarse low-byte
     /// equality test immediately superseded by the exact match. The
     /// coarse probe's tag store is dead — overwritten by the exact
-    /// probe's `Set` before anything reads the mask — which only the v2
-    /// window compiler's tag-aware liveness pass can prove, so this
-    /// kernel is also the dead-store gate: `fusion_reorder = true` must
-    /// retire strictly more stores than the in-order pipeline on it.
+    /// probe's `Set` before anything reads the mask — which takes the
+    /// window compiler's tag-aware liveness pass to prove, so this
+    /// kernel is also the dead-store gate: `fusion_smoke` pins the
+    /// number of stores it retires.
     pub fn phoenix_loop_mixed(max_vl: usize, iters: usize) -> Program {
         let mut p = Program::builder();
         p.li(Reg::S0, max_vl as i64);

@@ -36,13 +36,6 @@ pub struct CapeConfig {
     /// loads/stores, effective `vsetvli` changes, preemption) flush
     /// earlier regardless.
     pub fusion_window: usize,
-    /// Whether the window compiler may reschedule independent buffered
-    /// ops over their RAW/WAR/WAW dependence graph before fusing (the v2
-    /// pipeline). `false` restores strict issue-order concatenation.
-    /// Either way the committed CSB state, recorded stats, modeled
-    /// cycles/energy and fault replay are bit-identical — only the host
-    /// broadcast plan changes.
-    pub fusion_reorder: bool,
 }
 
 impl CapeConfig {
@@ -57,7 +50,6 @@ impl CapeConfig {
             max_instructions: 500_000_000,
             program_cache_capacity: 1024,
             fusion_window: 32,
-            fusion_reorder: true,
         }
     }
 

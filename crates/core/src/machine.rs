@@ -646,7 +646,7 @@ impl CapeMachine {
             Some(fused) => fused,
             None => {
                 let parts: Vec<&CompiledOp> = pending.iter().map(|p| &p.compiled).collect();
-                let fused = fuse_window(&parts, self.config.fusion_reorder);
+                let fused = fuse_window(&parts, false);
                 self.program_cache
                     .window_insert(fingerprint, &key, fused.clone());
                 fused
@@ -708,7 +708,7 @@ impl CapeMachine {
         self.flush_window_as(FlushReason::ScalarResult);
         let r = self
             .vcu
-            .try_execute_sew_cached(&mut self.csb, op, self.sew.bits(), &mut self.program_cache)
+            .execute(&mut self.csb, op, self.sew.bits(), &mut self.program_cache)
             .map_err(|e| VectorFault::Rejected {
                 detail: e.to_string(),
             })?;

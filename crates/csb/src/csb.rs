@@ -1,6 +1,5 @@
 //! The full Compute-Storage Block: chains + reduction tree + accounting.
 
-use std::slice;
 use std::sync::Arc;
 
 use crate::block::BLOCK_LANES;
@@ -11,7 +10,7 @@ use crate::fault::{
 use crate::geometry::{CsbGeometry, ElementLocation, SUBARRAY_COLS};
 use crate::microop::MicroOp;
 use crate::pool::{Shard, WorkerPool};
-use crate::program::{lower, MicroProgram};
+use crate::program::MicroProgram;
 use crate::reduction::ReductionTree;
 use crate::stats::MicroOpStats;
 
@@ -193,38 +192,17 @@ impl Csb {
         self.threads > 1 && self.active_count >= POOL_MIN_ACTIVE
     }
 
-    /// Executes one broadcast microop on every active chain and records it
-    /// in the statistics. Returns the summed reduction popcount for
-    /// [`MicroOp::ReduceTags`], `None` otherwise (per-chain read data is
-    /// accessible through [`Csb::chain_row`]).
+    /// Executes one microop as a one-op program through
+    /// [`Csb::execute_program`]: one broadcast, one fault-layer tick, and
+    /// the summed reduction popcount for [`MicroOp::ReduceTags`] (`None`
+    /// for every other op; per-chain read data is accessible through
+    /// [`Csb::chain_row`]).
     ///
-    /// This is the per-microop path; whole instructions go through
-    /// [`Csb::execute_program`], which pays the pool fan-out once per
-    /// program instead of once per microop.
+    /// A convenience for single-microop callers; whole instructions go
+    /// through [`Csb::execute_program`] directly.
     pub fn execute(&mut self, op: &MicroOp) -> Option<u64> {
-        self.record(op);
-        if let Some(f) = self.fault.as_deref_mut() {
-            f.pre_broadcast(&mut self.shards);
-        }
-        let plan_op = lower(op);
-        if self.use_pool() {
-            let ops = Arc::new(vec![plan_op]);
-            self.pool.run(&mut self.shards, &ops);
-        } else {
-            for shard in &mut self.shards {
-                shard.run(slice::from_ref(&plan_op));
-            }
-        }
-        let sum = matches!(op, MicroOp::ReduceTags { .. }).then(|| {
-            self.shards
-                .iter()
-                .map(|s| s.sums.first().copied().unwrap_or(0))
-                .sum()
-        });
-        if let Some(f) = self.fault.as_deref_mut() {
-            f.post_broadcast(&mut self.shards, slice::from_ref(op));
-        }
-        sum
+        self.execute_program(&MicroProgram::new(vec![op.clone()]))
+            .pop()
     }
 
     /// Executes a whole compiled [`MicroProgram`] as one broadcast unit:
@@ -232,9 +210,10 @@ impl Csb {
     /// chains), and the single join harvests one summed popcount per
     /// [`MicroOp::ReduceTags`] sync point, returned in program order.
     ///
-    /// Functionally identical to calling [`Csb::execute`] per microop and
-    /// collecting the `Some` results — but the thread fan-out/fan-in and
-    /// the reduction-tree sum happen once per program.
+    /// Functionally identical to running every microop on each active
+    /// chain's scalar [`Chain::execute`] reference in order — but the
+    /// thread fan-out/fan-in and the reduction-tree sum happen once per
+    /// program.
     pub fn execute_program(&mut self, program: &MicroProgram) -> Vec<u64> {
         for op in program.ops() {
             self.record(op);
@@ -663,6 +642,37 @@ impl Csb {
     }
 }
 
+/// The scalar oracle for differential tests: materializes every chain of
+/// `csb` as a [`Chain`], runs each op in order on every chain with a live
+/// window (power-gated chains never execute anything), and sums the
+/// [`MicroOp::ReduceTags`] popcounts across chains in op order.
+#[cfg(test)]
+pub(crate) fn scalar_reference(csb: &Csb, ops: &[MicroOp]) -> (Vec<Chain>, Vec<u64>) {
+    let mut chains: Vec<Chain> = (0..csb.geometry().num_chains())
+        .map(|c| csb.chain(c))
+        .collect();
+    let reduces = ops
+        .iter()
+        .filter(|op| matches!(op, MicroOp::ReduceTags { .. }))
+        .count();
+    let mut sums = vec![0u64; reduces];
+    for (c, chain) in chains.iter_mut().enumerate() {
+        let window = csb.window(c);
+        if window == 0 {
+            continue;
+        }
+        let mut k = 0;
+        for op in ops {
+            let r = chain.execute(op, window);
+            if matches!(op, MicroOp::ReduceTags { .. }) {
+                sums[k] += u64::from(r.expect("ReduceTags returns a count"));
+                k += 1;
+            }
+        }
+    }
+    (chains, sums)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -841,22 +851,19 @@ mod tests {
             MicroOp::ReduceTags { subarray: 1 },
         ];
         let data: Vec<u32> = (0..128).map(|i| i as u32).collect();
+        let mut csb = small();
+        csb.write_vector(1, &data);
+        csb.set_active_window(3, 77);
 
-        let mut by_program = small();
-        let mut per_op = small();
-        for csb in [&mut by_program, &mut per_op] {
-            csb.write_vector(1, &data);
-            csb.set_active_window(3, 77);
-        }
-
-        let program_sums = by_program.execute_program(&MicroProgram::new(ops.clone()));
-        let per_op_sums: Vec<u64> = ops.iter().filter_map(|op| per_op.execute(op)).collect();
+        let (reference, per_op_sums) = scalar_reference(&csb, &ops);
+        let program = MicroProgram::new(ops);
+        let program_sums = csb.execute_program(&program);
 
         assert_eq!(program_sums, per_op_sums);
-        for c in 0..4 {
-            assert_eq!(by_program.chain(c), per_op.chain(c), "chain {c}");
+        for (c, want) in reference.iter().enumerate() {
+            assert_eq!(&csb.chain(c), want, "chain {c}");
         }
-        assert_eq!(by_program.stats(), per_op.stats());
+        assert_eq!(csb.stats(), program.stats());
     }
 
     #[test]

@@ -50,7 +50,6 @@ mod microop;
 mod pool;
 mod program;
 mod reduction;
-mod schedule;
 mod stats;
 mod subarray;
 

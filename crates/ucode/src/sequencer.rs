@@ -271,23 +271,11 @@ impl<'a> Sequencer<'a> {
         Self { csb, width }
     }
 
-    /// Compiles `op` at this sequencer's element width without executing
-    /// it.
-    ///
-    /// # Panics
-    ///
-    /// As [`CompiledOp::compile`].
-    pub fn compile(&self, op: &VectorOp) -> CompiledOp {
-        CompiledOp::compile(op, self.width)
-    }
-
     /// Executes one vector operation, returning its scalar result (if any)
-    /// and the microops it emitted.
-    ///
-    /// This compiles the operation and broadcasts it one microop at a time
-    /// — the per-microop baseline path. [`Sequencer::run_program`] replays
-    /// a (possibly cached) compiled form with one fan-out for the whole
-    /// program; both produce bit-identical CSB state and results.
+    /// and the microops it emitted: compiles it at this sequencer's
+    /// element width and runs it with [`Sequencer::run_program`]. Use
+    /// [`CompiledOp::try_compile`] plus `run_program` (or a program
+    /// cache) to reject malformed operations without panicking.
     ///
     /// # Panics
     ///
@@ -296,30 +284,13 @@ impl<'a> Sequencer<'a> {
     /// mask-producing comparisons require `vd` distinct from sources).
     pub fn execute(&mut self, op: &VectorOp) -> ExecOutcome {
         let compiled = CompiledOp::compile(op, self.width);
-        self.run_per_op(&compiled)
-    }
-
-    /// Runs a compiled operation microop-by-microop (one broadcast
-    /// fan-out per microop — the baseline the paper's Table I counts).
-    pub fn run_per_op(&mut self, compiled: &CompiledOp) -> ExecOutcome {
-        let before = self.csb.stats();
-        let mut sums = Vec::with_capacity(compiled.program.reduce_count());
-        for op in compiled.program.ops() {
-            if let Some(sum) = self.csb.execute(op) {
-                sums.push(sum);
-            }
-        }
-        let scalar = compiled.post.apply(self.csb, compiled.width, &sums);
-        ExecOutcome {
-            scalar,
-            stats: self.csb.stats().since(&before),
-        }
+        self.run_program(&compiled)
     }
 
     /// Runs a compiled operation at program granularity: one broadcast
     /// fan-out for the whole program
     /// ([`Csb::execute_program`](cape_csb::Csb::execute_program)), then
-    /// the post-processing step. Bit-identical to [`Sequencer::execute`].
+    /// the post-processing step.
     pub fn run_program(&mut self, compiled: &CompiledOp) -> ExecOutcome {
         let before = self.csb.stats();
         let sums = self.csb.execute_program(&compiled.program);

@@ -12,14 +12,11 @@
 //! own lowering and its (absent) post-processing, so a mixed-SEW window
 //! is an ordinary concatenation of plans compiled at their own widths.
 //!
-//! [`fuse_window`] compiles the buffered ops' lowered programs — in
+//! [`fuse_window`] concatenates the buffered ops' lowered programs in
 //! issue order ([`MicroProgram::windowed`](cape_csb::MicroProgram::windowed)),
-//! or through the v2 window compiler
-//! ([`MicroProgram::windowed_scheduled`](cape_csb::MicroProgram::windowed_scheduled)),
-//! which schedules the parts over their RAW/WAR/WAW dependence graph and
-//! then re-runs step fusion across the op seams plus the cross-op
-//! plan-level peepholes (liveness-cascading dead-store elimination,
-//! adjacent `TagCombine` merging).
+//! re-running step fusion across the op seams plus the cross-op
+//! plan-level peepholes (adjacent `TagCombine` merging, then dead-store
+//! elimination over rows, tags and accumulators).
 //!
 //! Fused windows are cacheable exactly like single compiled ops: the
 //! program depends only on the `(VectorOp, SEW)` sequence, never on CSB
@@ -77,17 +74,14 @@ pub fn window_fingerprint(ops: &[(VectorOp, u32)]) -> u64 {
 
 /// Compiles several buffered operations into one fused window program.
 ///
-/// The result replays every part with one broadcast and one join, after
-/// cross-seam step fusion and the plan-level peephole passes. With
-/// `reorder` false the parts are concatenated in issue order (the PR 9
-/// pipeline, [`MicroProgram::windowed`](cape_csb::MicroProgram::windowed));
-/// with `reorder` true the window compiler builds the RAW/WAR/WAW
-/// dependence graph over subarray rows, tags and accumulators and
-/// list-schedules independent parts before re-running the (upgraded)
-/// peepholes
-/// ([`MicroProgram::windowed_scheduled`](cape_csb::MicroProgram::windowed_scheduled)).
-/// Either way, CSB state afterwards is bit-identical to running the
-/// parts back to back.
+/// The result replays every part with one broadcast and one join: the
+/// parts are concatenated in issue order, then step fusion across the
+/// seams and the plan-level peephole passes run over the whole window
+/// ([`MicroProgram::windowed`](cape_csb::MicroProgram::windowed)). CSB
+/// state afterwards is bit-identical to running the parts back to back.
+///
+/// `_reorder` changes nothing; the parameter stays only so existing
+/// callers (the benchmark under `capebench/`) keep building.
 ///
 /// Parts may disagree on element width: every fusible op has
 /// [`PostProcess::None`], and SEW only parameterizes post-processing and
@@ -100,7 +94,7 @@ pub fn window_fingerprint(ops: &[(VectorOp, u32)]) -> u64 {
 /// Panics if `parts` is empty or if any part's post-process step is not
 /// [`PostProcess::None`] (such ops are fusion barriers — their results
 /// cross back to the scalar side and must execute unfused).
-pub fn fuse_window(parts: &[&CompiledOp], reorder: bool) -> CompiledOp {
+pub fn fuse_window(parts: &[&CompiledOp], _reorder: bool) -> CompiledOp {
     let first = parts.first().expect("fusion window must be non-empty");
     let width = first.width();
     for p in parts {
@@ -111,12 +105,7 @@ pub fn fuse_window(parts: &[&CompiledOp], reorder: bool) -> CompiledOp {
         );
     }
     let programs: Vec<&MicroProgram> = parts.iter().map(|p| p.program()).collect();
-    let program = if reorder {
-        MicroProgram::windowed_scheduled(&programs)
-    } else {
-        MicroProgram::windowed(&programs)
-    };
-    CompiledOp::from_parts(program, PostProcess::None, width)
+    CompiledOp::from_parts(MicroProgram::windowed(&programs), PostProcess::None, width)
 }
 
 #[cfg(test)]
@@ -170,20 +159,11 @@ mod tests {
             }
         }
 
-        for reorder in [false, true] {
-            let mut fused_csb = seeded();
-            let fused = fuse_window(&parts.iter().collect::<Vec<_>>(), reorder);
-            {
-                let mut seq = Sequencer::new(&mut fused_csb);
-                let outcome = seq.run_program(&fused);
-                assert_eq!(outcome.scalar, None);
-            }
-            assert_eq!(
-                baseline.save_registers(),
-                fused_csb.save_registers(),
-                "reorder={reorder}"
-            );
-        }
+        let mut fused_csb = seeded();
+        let fused = fuse_window(&parts.iter().collect::<Vec<_>>(), false);
+        let outcome = Sequencer::new(&mut fused_csb).run_program(&fused);
+        assert_eq!(outcome.scalar, None);
+        assert_eq!(baseline.save_registers(), fused_csb.save_registers());
     }
 
     #[test]
@@ -205,16 +185,10 @@ mod tests {
             }
         }
 
-        for reorder in [false, true] {
-            let mut fused_csb = seeded();
-            let fused = fuse_window(&parts.iter().collect::<Vec<_>>(), reorder);
-            Sequencer::new(&mut fused_csb).run_program(&fused);
-            assert_eq!(
-                baseline.save_registers(),
-                fused_csb.save_registers(),
-                "reorder={reorder}"
-            );
-        }
+        let mut fused_csb = seeded();
+        let fused = fuse_window(&parts.iter().collect::<Vec<_>>(), false);
+        Sequencer::new(&mut fused_csb).run_program(&fused);
+        assert_eq!(baseline.save_registers(), fused_csb.save_registers());
     }
 
     #[test]
@@ -238,11 +212,6 @@ mod tests {
             fused.program().plan_len()
         );
         assert!(fused.program().dead_stores() > 0, "the win is measurable");
-        let scheduled = fuse_window(&parts.iter().collect::<Vec<_>>(), true);
-        assert!(
-            scheduled.program().dead_stores() >= fused.program().dead_stores(),
-            "the v2 pipeline retires at least as much on real lowerings"
-        );
         // The *op* list stays the unoptimized concatenation so recorded
         // stats (cycles, energy, golden replay) match per-op execution.
         assert_eq!(

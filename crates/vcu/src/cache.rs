@@ -88,7 +88,7 @@ pub struct TenantCacheStats {
 /// An LRU cache of compiled microop programs keyed by `(VectorOp, SEW)`.
 ///
 /// Kept outside [`Vcu`](crate::Vcu) (which stays a `Copy` timing model)
-/// and threaded into [`Vcu::execute_sew_cached`](crate::Vcu) by the owner
+/// and threaded into [`Vcu::execute`](crate::Vcu::execute) by the owner
 /// of the execution loop.
 #[derive(Debug, Clone)]
 pub struct ProgramCache {
@@ -165,21 +165,8 @@ impl ProgramCache {
 
     /// Returns the cached program for `(op, sew_bits)`, compiling (and, at
     /// capacity, evicting the least recently used entry) on a miss.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operation cannot be compiled; use
-    /// [`ProgramCache::try_get_or_compile`] for the non-panicking form.
-    pub fn get_or_compile(&mut self, op: &VectorOp, sew_bits: u32) -> &CompiledOp {
-        match self.try_get_or_compile(op, sew_bits) {
-            Ok(compiled) => compiled,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Returns the cached program for `(op, sew_bits)`, compiling on a
-    /// miss, and surfacing malformed operations as a typed error instead
-    /// of panicking (a failed compile is not counted or cached).
+    /// Malformed operations surface as a typed error instead of a panic;
+    /// a failed compile is not counted or cached.
     ///
     /// # Errors
     ///
@@ -416,13 +403,21 @@ mod tests {
         vs2: 2,
     };
 
+    /// A lookup of an op that always compiles.
+    fn get(cache: &mut ProgramCache, op: &VectorOp, sew_bits: u32) -> CompiledOp {
+        cache
+            .try_get_or_compile(op, sew_bits)
+            .expect("op compiles")
+            .clone()
+    }
+
     #[test]
     fn hits_and_misses_are_counted() {
         let mut cache = ProgramCache::new(8);
-        cache.get_or_compile(&ADD, 32);
+        get(&mut cache, &ADD, 32);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        cache.get_or_compile(&ADD, 32);
-        cache.get_or_compile(&ADD, 32);
+        get(&mut cache, &ADD, 32);
+        get(&mut cache, &ADD, 32);
         assert_eq!((cache.hits(), cache.misses()), (2, 1));
         assert!((cache.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(cache.len(), 1);
@@ -431,18 +426,19 @@ mod tests {
     #[test]
     fn keyed_by_sew() {
         let mut cache = ProgramCache::new(8);
-        cache.get_or_compile(&ADD, 32);
-        let narrow = cache.get_or_compile(&ADD, 8).clone();
+        get(&mut cache, &ADD, 32);
+        let narrow = get(&mut cache, &ADD, 8);
         assert_eq!(cache.misses(), 2, "same op at a new SEW must recompile");
         assert_eq!(narrow.width(), 8);
-        assert!(narrow.program().len() < cache.get_or_compile(&ADD, 32).program().len());
+        assert!(narrow.program().len() < get(&mut cache, &ADD, 32).program().len());
     }
 
     #[test]
     fn keyed_by_scalar_operand() {
         // Scalar bits specialize the program, so they are part of the key.
         let mut cache = ProgramCache::new(8);
-        cache.get_or_compile(
+        get(
+            &mut cache,
             &VectorOp::AddScalar {
                 vd: 3,
                 vs1: 1,
@@ -450,7 +446,8 @@ mod tests {
             },
             32,
         );
-        cache.get_or_compile(
+        get(
+            &mut cache,
             &VectorOp::AddScalar {
                 vd: 3,
                 vs1: 1,
@@ -465,15 +462,15 @@ mod tests {
     #[test]
     fn evicts_least_recently_used() {
         let mut cache = ProgramCache::new(2);
-        cache.get_or_compile(&ADD, 32);
-        cache.get_or_compile(&SUB, 32);
-        cache.get_or_compile(&ADD, 32); // ADD is now the most recent
-        cache.get_or_compile(&ADD, 8); // at capacity: SUB is the LRU victim
+        get(&mut cache, &ADD, 32);
+        get(&mut cache, &SUB, 32);
+        get(&mut cache, &ADD, 32); // ADD is now the most recent
+        get(&mut cache, &ADD, 8); // at capacity: SUB is the LRU victim
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.len(), 2);
-        cache.get_or_compile(&ADD, 32);
+        get(&mut cache, &ADD, 32);
         assert_eq!(cache.hits(), 2, "ADD@32 must have survived eviction");
-        cache.get_or_compile(&SUB, 32);
+        get(&mut cache, &SUB, 32);
         assert_eq!(cache.misses(), 4, "SUB was evicted and recompiles");
     }
 
@@ -487,13 +484,13 @@ mod tests {
     fn cross_tenant_hits_attribute_to_the_compiling_tenant() {
         let mut cache = ProgramCache::new(8);
         cache.set_tenant(1);
-        cache.get_or_compile(&ADD, 32); // tenant 1 compiles
-        cache.get_or_compile(&ADD, 32); // same-tenant hit
+        get(&mut cache, &ADD, 32); // tenant 1 compiles
+        get(&mut cache, &ADD, 32); // same-tenant hit
         cache.set_tenant(2);
-        cache.get_or_compile(&ADD, 32); // cross-tenant hit
-        cache.get_or_compile(&SUB, 32); // tenant 2 compiles
+        get(&mut cache, &ADD, 32); // cross-tenant hit
+        get(&mut cache, &SUB, 32); // tenant 2 compiles
         cache.set_tenant(1);
-        cache.get_or_compile(&SUB, 32); // cross-tenant hit
+        get(&mut cache, &SUB, 32); // cross-tenant hit
 
         assert_eq!(cache.cross_tenant_hits(), 2);
         assert_eq!(cache.hits(), 3);
@@ -526,10 +523,7 @@ mod tests {
 
         cache.set_tenant(1);
         assert!(cache.window_lookup(fp, &seq).is_none(), "cold cache misses");
-        let parts = [
-            cache.get_or_compile(&ADD, 32).clone(),
-            cache.get_or_compile(&SUB, 32).clone(),
-        ];
+        let parts = [get(&mut cache, &ADD, 32), get(&mut cache, &SUB, 32)];
         let fused = fuse_window(&parts.iter().collect::<Vec<_>>(), false);
         cache.window_insert(fp, &seq, fused.clone());
         assert_eq!(cache.window_lookup(fp, &seq).as_ref(), Some(&fused));
@@ -551,10 +545,7 @@ mod tests {
         let mut cache = ProgramCache::new(1);
         let a = [(ADD, 32u32), (SUB, 32u32)];
         let b = [(SUB, 32u32), (ADD, 32u32)];
-        let parts = [
-            cache.get_or_compile(&ADD, 32).clone(),
-            cache.get_or_compile(&SUB, 32).clone(),
-        ];
+        let parts = [get(&mut cache, &ADD, 32), get(&mut cache, &SUB, 32)];
         let fused = fuse_window(&parts.iter().collect::<Vec<_>>(), false);
 
         cache.set_tenant(1);
@@ -574,10 +565,7 @@ mod tests {
     fn fingerprint_collisions_never_serve_the_wrong_window() {
         use cape_ucode::fuse_window;
         let mut cache = ProgramCache::new(8);
-        let parts = [
-            cache.get_or_compile(&ADD, 32).clone(),
-            cache.get_or_compile(&SUB, 32).clone(),
-        ];
+        let parts = [get(&mut cache, &ADD, 32), get(&mut cache, &SUB, 32)];
         let fused = fuse_window(&parts.iter().collect::<Vec<_>>(), false);
 
         // Force a collision: insert under some fingerprint with key `a`,

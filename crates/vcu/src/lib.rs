@@ -29,9 +29,6 @@ use serde::{Deserialize, Serialize};
 
 pub use cache::{ProgramCache, TenantCacheStats};
 
-/// Default operand width CAPE's chains are configured for.
-pub const OPERAND_BITS: u32 = 32;
-
 /// Result of executing one vector instruction through the VCU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VcuResult {
@@ -78,60 +75,19 @@ impl Vcu {
         self.tree_stages
     }
 
-    /// Executes a vector operation on the CSB at the default 32-bit
-    /// element width and returns its modeled cycle cost.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the sequencer's panics for invalid register aliasing.
-    pub fn execute(&self, csb: &mut Csb, op: &VectorOp) -> VcuResult {
-        self.execute_sew(csb, op, OPERAND_BITS)
-    }
-
     /// Executes a vector operation at the given element width (SEW = 8,
-    /// 16 or 32); narrow elements walk fewer bit positions (Section V-A).
-    ///
-    /// # Panics
-    ///
-    /// Propagates the sequencer's panics for invalid register aliasing or
-    /// an unsupported width.
-    pub fn execute_sew(&self, csb: &mut Csb, op: &VectorOp, sew_bits: u32) -> VcuResult {
-        let outcome = Sequencer::with_width(csb, sew_bits as usize).execute(op);
-        self.finish(op, outcome, sew_bits)
-    }
-
-    /// Executes a vector operation through the program cache: the compiled
-    /// microop program is looked up (compiling on a miss) and broadcast to
-    /// the CSB with one fan-out for the whole program. Bit-identical
-    /// results and cycle model to [`Vcu::execute_sew`]; only the host-side
-    /// throughput differs.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the sequencer's panics for invalid register aliasing or
-    /// an unsupported width.
-    pub fn execute_sew_cached(
-        &self,
-        csb: &mut Csb,
-        op: &VectorOp,
-        sew_bits: u32,
-        cache: &mut ProgramCache,
-    ) -> VcuResult {
-        let compiled = cache.get_or_compile(op, sew_bits);
-        let outcome = Sequencer::with_width(csb, sew_bits as usize).run_program(compiled);
-        self.finish(op, outcome, sew_bits)
-    }
-
-    /// Non-panicking form of [`Vcu::execute_sew_cached`]: malformed
-    /// operations (unsupported SEW, destination aliasing a source) surface
-    /// as a typed [`SequencerError`] and leave the CSB untouched, so a
-    /// long-running host can fail the one bad job and keep serving.
+    /// 16 or 32; narrow elements walk fewer bit positions, Section V-A)
+    /// and returns its modeled cycle cost. The compiled microop program
+    /// is looked up in `cache` (compiling on a miss) and broadcast to the
+    /// CSB with one fan-out for the whole program.
     ///
     /// # Errors
     ///
-    /// Propagates the [`SequencerError`] from
-    /// [`ProgramCache::try_get_or_compile`].
-    pub fn try_execute_sew_cached(
+    /// Malformed operations (unsupported SEW, destination aliasing a
+    /// source) surface as the [`SequencerError`] from
+    /// [`ProgramCache::try_get_or_compile`] and leave the CSB untouched,
+    /// so a long-running host can fail the one bad job and keep serving.
+    pub fn execute(
         &self,
         csb: &mut Csb,
         op: &VectorOp,
@@ -140,12 +96,16 @@ impl Vcu {
     ) -> Result<VcuResult, SequencerError> {
         let compiled = cache.try_get_or_compile(op, sew_bits)?;
         let outcome = Sequencer::with_width(csb, sew_bits as usize).run_program(compiled);
-        Ok(self.finish(op, outcome, sew_bits))
+        Ok(VcuResult {
+            cycles: self.plan_cycles(op, &outcome.stats, sew_bits),
+            scalar: outcome.scalar,
+            stats: outcome.stats,
+        })
     }
 
     /// Modeled cycle cost of one instruction given its (data-independent)
-    /// microop statistics — exactly what [`Vcu::execute_sew`] would
-    /// charge, without executing anything.
+    /// microop statistics — exactly what [`Vcu::execute`] would charge,
+    /// without executing anything.
     ///
     /// Microop emission never inspects CSB data, so the statistics of a
     /// compiled program
@@ -162,15 +122,6 @@ impl Vcu {
             0
         };
         base + reduction_drain + self.cmd_dist_cycles
-    }
-
-    /// Layers the timing model over a sequencer outcome.
-    fn finish(&self, op: &VectorOp, outcome: cape_ucode::ExecOutcome, sew_bits: u32) -> VcuResult {
-        VcuResult {
-            cycles: self.plan_cycles(op, &outcome.stats, sew_bits),
-            scalar: outcome.scalar,
-            stats: outcome.stats,
-        }
     }
 
     fn uses_reduction_tree(&self, op: &VectorOp) -> bool {
@@ -228,6 +179,12 @@ mod tests {
         csb
     }
 
+    /// One 32-bit instruction through a cold program cache.
+    fn exec(vcu: &Vcu, csb: &mut Csb, op: &VectorOp) -> VcuResult {
+        vcu.execute(csb, op, 32, &mut ProgramCache::default())
+            .expect("op compiles")
+    }
+
     #[test]
     fn paper_configuration_overheads() {
         let vcu = Vcu::new(1024);
@@ -243,7 +200,8 @@ mod tests {
     fn vadd_uses_table_one_cycles() {
         let vcu = Vcu::new(1024);
         let mut csb = csb();
-        let r = vcu.execute(
+        let r = exec(
+            &vcu,
             &mut csb,
             &VectorOp::Add {
                 vd: 3,
@@ -259,7 +217,8 @@ mod tests {
     fn logic_is_three_cycles_plus_distribution() {
         let vcu = Vcu::new(1024);
         let mut csb = csb();
-        let r = vcu.execute(
+        let r = exec(
+            &vcu,
             &mut csb,
             &VectorOp::And {
                 vd: 3,
@@ -274,7 +233,7 @@ mod tests {
     fn redsum_adds_tree_drain() {
         let vcu = Vcu::new(1024);
         let mut csb = csb();
-        let r = vcu.execute(&mut csb, &VectorOp::RedSum { vd: 3, vs: 1 });
+        let r = exec(&vcu, &mut csb, &VectorOp::RedSum { vd: 3, vs: 1 });
         assert_eq!(r.cycles, 32 + 5 + vcu.cmd_dist_cycles());
         assert_eq!(r.scalar, Some((0..256).sum::<i64>()));
     }
@@ -285,19 +244,17 @@ mod tests {
         // faster than an element-wise vector addition".
         let vcu = Vcu::new(1024);
         let mut csb = csb();
-        let add = vcu
-            .execute(
-                &mut csb,
-                &VectorOp::Add {
-                    vd: 3,
-                    vs1: 1,
-                    vs2: 2,
-                },
-            )
-            .cycles;
-        let red = vcu
-            .execute(&mut csb, &VectorOp::RedSum { vd: 4, vs: 1 })
-            .cycles;
+        let add = exec(
+            &vcu,
+            &mut csb,
+            &VectorOp::Add {
+                vd: 3,
+                vs1: 1,
+                vs2: 2,
+            },
+        )
+        .cycles;
+        let red = exec(&vcu, &mut csb, &VectorOp::RedSum { vd: 4, vs: 1 }).cycles;
         let ratio = add as f64 / red as f64;
         assert!((4.0..9.0).contains(&ratio), "ratio {ratio}");
     }
@@ -307,7 +264,8 @@ mod tests {
         let vcu = Vcu::new(1024);
         let mut csb = csb();
         // Adding zero specializes away most truth-table entries.
-        let r0 = vcu.execute(
+        let r0 = exec(
+            &vcu,
             &mut csb,
             &VectorOp::AddScalar {
                 vd: 3,
@@ -315,7 +273,8 @@ mod tests {
                 rs: 0,
             },
         );
-        let r1 = vcu.execute(
+        let r1 = exec(
+            &vcu,
             &mut csb,
             &VectorOp::AddScalar {
                 vd: 3,
@@ -324,7 +283,8 @@ mod tests {
             },
         );
         assert!(r0.cycles < r1.cycles, "rs=0 must be cheaper than rs=-1");
-        let vv = vcu.execute(
+        let vv = exec(
+            &vcu,
             &mut csb,
             &VectorOp::Add {
                 vd: 3,
@@ -339,7 +299,8 @@ mod tests {
     fn mul_is_quadratic() {
         let vcu = Vcu::new(1024);
         let mut csb = csb();
-        let r = vcu.execute(
+        let r = exec(
+            &vcu,
             &mut csb,
             &VectorOp::Mul {
                 vd: 3,
@@ -356,24 +317,13 @@ mod tests {
     fn narrow_widths_scale_table_one_cycles() {
         let vcu = Vcu::new(1024);
         let mut csb = csb();
-        let r8 = vcu.execute_sew(
-            &mut csb,
-            &VectorOp::Add {
-                vd: 3,
-                vs1: 1,
-                vs2: 2,
-            },
-            8,
-        );
-        let r32 = vcu.execute_sew(
-            &mut csb,
-            &VectorOp::Add {
-                vd: 4,
-                vs1: 1,
-                vs2: 2,
-            },
-            32,
-        );
+        let mut cache = ProgramCache::default();
+        let mut add = |vd, sew| {
+            let op = VectorOp::Add { vd, vs1: 1, vs2: 2 };
+            vcu.execute(&mut csb, &op, sew, &mut cache).unwrap()
+        };
+        let r8 = add(3, 8);
+        let r32 = add(4, 32);
         // 8n+2 at n=8 vs n=32.
         assert_eq!(r8.cycles, 66 + vcu.cmd_dist_cycles());
         assert_eq!(r32.cycles, 258 + vcu.cmd_dist_cycles());
@@ -411,8 +361,9 @@ mod tests {
                 csb.set_active_window(5, 1500);
             }
             for op in &ops {
-                let want = vcu.execute_sew(&mut plain, op, sew);
-                let got = vcu.execute_sew_cached(&mut cached, op, sew, &mut cache);
+                let cold = &mut ProgramCache::default();
+                let want = vcu.execute(&mut plain, op, sew, cold).unwrap();
+                let got = vcu.execute(&mut cached, op, sew, &mut cache).unwrap();
                 assert_eq!(got, want, "{op:?} at sew {sew}");
             }
             assert_eq!(plain.read_vector(3, 2048), cached.read_vector(3, 2048));
@@ -449,7 +400,9 @@ mod tests {
             for op in &ops {
                 let static_stats = CompiledOp::compile(op, sew as usize).program().stats();
                 let mut csb = csb();
-                let executed = vcu.execute_sew(&mut csb, op, sew);
+                let executed = vcu
+                    .execute(&mut csb, op, sew, &mut ProgramCache::default())
+                    .unwrap();
                 assert_eq!(
                     vcu.plan_cycles(op, &static_stats, sew),
                     executed.cycles,
@@ -469,7 +422,7 @@ mod tests {
         csb.set_active_window(0, 3);
         let before = csb.read_vector(1, 3);
         let err = vcu
-            .try_execute_sew_cached(
+            .execute(
                 &mut csb,
                 &VectorOp::Mul {
                     vd: 1,
@@ -490,7 +443,7 @@ mod tests {
         assert_eq!(csb.read_vector(1, 3), before, "CSB must be untouched");
         // The good path through the same API still works.
         let ok = vcu
-            .try_execute_sew_cached(
+            .execute(
                 &mut csb,
                 &VectorOp::AddScalar {
                     vd: 2,
@@ -511,7 +464,8 @@ mod tests {
         let mut csb = Csb::new(CsbGeometry::new(8));
         csb.write_vector(1, &[3, 5, 7]);
         csb.set_active_window(0, 3);
-        vcu.execute(
+        exec(
+            &vcu,
             &mut csb,
             &VectorOp::AddScalar {
                 vd: 2,

@@ -1,16 +1,13 @@
-//! Differential tests: the program-granularity broadcast path
-//! ([`Sequencer::run_program`]) must be bit-identical to the per-microop
-//! baseline ([`Sequencer::execute`]) — same scalar results, same microop
-//! statistics, and the same CSB register file — for every vector
-//! operation, every SEW, and masked/tail windows.
+//! Fixtures shared by the op-level differential suites: the operation
+//! list, the seeded CSB, and the scalar [`Chain`] reference broadcast.
 
-use cape_csb::{Csb, CsbGeometry, DATA_ROWS};
-use cape_ucode::{CompiledOp, LogicOp, Sequencer, VectorOp};
+use cape_csb::{Chain, Csb, CsbGeometry, MicroOp, MicroProgram};
+use cape_ucode::{LogicOp, VectorOp};
 
 /// Every operation shape the sequencer accepts, with registers chosen to
 /// satisfy the aliasing rules (vd=3, vs1=1, vs2=2, mask v0) and scalars
 /// covering zero, small, sign-bit and all-ones specializations.
-fn all_ops() -> Vec<VectorOp> {
+pub fn all_ops() -> Vec<VectorOp> {
     let mut ops = vec![
         VectorOp::Add {
             vd: 3,
@@ -178,7 +175,7 @@ fn all_ops() -> Vec<VectorOp> {
 /// A CSB with deterministic pseudorandom contents in the source
 /// registers, a mask in v0, and a sparse bit pattern in v4 (for
 /// `vfirst`/`vcpop`).
-fn seeded_csb(chains: usize) -> Csb {
+pub fn seeded_csb(chains: usize) -> Csb {
     let mut csb = Csb::new(CsbGeometry::new(chains));
     let n = csb.max_vl();
     let mut state = 0x9E37_79B9_u32;
@@ -197,96 +194,27 @@ fn seeded_csb(chains: usize) -> Csb {
     csb
 }
 
-/// Runs `op` through both execution paths on identically-seeded CSBs and
-/// asserts bit-exact agreement of scalars, stats and all data rows.
-fn assert_paths_agree(op: &VectorOp, sew: usize, vstart: usize, vl: usize, chains: usize) {
-    let mut per_op = seeded_csb(chains);
-    let mut program = seeded_csb(chains);
-    per_op.set_active_window(vstart, vl);
-    program.set_active_window(vstart, vl);
-
-    let compiled = CompiledOp::compile(op, sew);
-    let baseline = Sequencer::with_width(&mut per_op, sew).run_per_op(&compiled);
-    let broadcast = Sequencer::with_width(&mut program, sew).run_program(&compiled);
-
-    let ctx = format!("{op:?} sew={sew} window={vstart}..{vl} chains={chains}");
-    assert_eq!(broadcast.scalar, baseline.scalar, "scalar result: {ctx}");
-    assert_eq!(broadcast.stats, baseline.stats, "microop stats: {ctx}");
-    let n = per_op.max_vl();
-    for reg in 0..DATA_ROWS {
-        assert_eq!(
-            program.read_vector(reg, n),
-            per_op.read_vector(reg, n),
-            "register v{reg}: {ctx}"
-        );
-    }
-}
-
-#[test]
-fn every_op_matches_at_every_sew_full_window() {
-    for op in &all_ops() {
-        for sew in [8usize, 16, 32] {
-            assert_paths_agree(op, sew, 0, 128, 4);
+/// Runs a microop program over scalar reference [`Chain`]s, exactly as
+/// the pre-block broadcast loop did: chain by chain, op by op, skipping
+/// power-gated (fully-masked) chains, summing `ReduceTags` popcounts.
+pub fn reference_program(
+    chains: &mut [Chain],
+    windows: &[u32],
+    program: &MicroProgram,
+) -> Vec<u64> {
+    let mut sums = vec![0u64; program.reduce_count()];
+    for (chain, &window) in chains.iter_mut().zip(windows) {
+        if window == 0 {
+            continue; // power-gated chain: never executes anything
+        }
+        let mut k = 0;
+        for op in program.ops() {
+            let r = chain.execute(op, window);
+            if matches!(op, MicroOp::ReduceTags { .. }) {
+                sums[k] += u64::from(r.expect("ReduceTags returns a count"));
+                k += 1;
+            }
         }
     }
-}
-
-#[test]
-fn every_op_matches_on_masked_and_tail_windows() {
-    // vstart > 0 (restart), vl < max (tail), and both at once.
-    for op in &all_ops() {
-        for &(vstart, vl) in &[(0usize, 77usize), (13, 128), (5, 99)] {
-            assert_paths_agree(op, 32, vstart, vl, 4);
-        }
-    }
-}
-
-#[test]
-fn representative_ops_match_through_the_worker_pool() {
-    // 600 chains with a partial window: enough active chains that the
-    // CSB's threaded broadcast path engages (when the host has >1 CPU),
-    // with some chains fully masked off.
-    let ops = [
-        VectorOp::Add {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-        },
-        VectorOp::MseqScalar {
-            vd: 3,
-            vs1: 1,
-            rs: 0x7F,
-        },
-        VectorOp::RedSum { vd: 3, vs: 1 },
-        VectorOp::Cpop { vs: 4 },
-        VectorOp::Merge {
-            vd: 3,
-            vs1: 1,
-            vs2: 2,
-        },
-    ];
-    let vl = 600 * 32 - 1000;
-    for op in &ops {
-        assert_paths_agree(op, 32, 3, vl, 600);
-    }
-}
-
-#[test]
-fn per_op_baseline_equals_legacy_execute() {
-    // Sequencer::execute is compile + run_per_op; make sure the public
-    // entry point and an explicitly compiled replay agree too.
-    let op = VectorOp::Add {
-        vd: 3,
-        vs1: 1,
-        vs2: 2,
-    };
-    let mut a = seeded_csb(4);
-    let mut b = seeded_csb(4);
-    a.set_active_window(0, 100);
-    b.set_active_window(0, 100);
-    let ra = Sequencer::new(&mut a).execute(&op);
-    let compiled = CompiledOp::compile(&op, 32);
-    let rb = Sequencer::new(&mut b).run_per_op(&compiled);
-    assert_eq!(ra, rb);
-    assert_eq!(a.read_vector(3, 128), b.read_vector(3, 128));
+    sums
 }

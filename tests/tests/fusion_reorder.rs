@@ -1,10 +1,8 @@
-//! Property-based differential suite for the v2 window compiler: random
+//! Property-based differential suite for the window compiler: random
 //! fusible op sequences — dense with RAW/WAR/WAW hazards on a small
 //! vector-register set and salted with unchanged-`vl` `vsetvli`s that
-//! retarget SEW mid-window — must execute bit-identically on three
-//! machines: per-op (`fusion_window = 1`), fused in issue order
-//! (`fusion_reorder = false`, the PR 9 pipeline) and fused with
-//! dependence-aware rescheduling (`fusion_reorder = true`). Identical
+//! retarget SEW mid-window — must execute bit-identically per-op
+//! (`fusion_window = 1`) and fused (`fusion_window = 32`). Identical
 //! means the full run report (cycles, CP stats, microop ledger, energy,
 //! HBM traffic) and every output byte — plus the same guarantee under a
 //! mid-window context switch and with the fault layer's parity
@@ -159,10 +157,9 @@ fn build_program(body: &[BodyOp], n: usize) -> Program {
     p.build().expect("builds")
 }
 
-fn config(fusion_window: usize, fusion_reorder: bool) -> CapeConfig {
+fn config(fusion_window: usize) -> CapeConfig {
     let mut c = CapeConfig::tiny(CHAINS);
     c.fusion_window = fusion_window;
-    c.fusion_reorder = fusion_reorder;
     c
 }
 
@@ -191,12 +188,11 @@ fn outputs(mem: &MainMemory, n: usize) -> Vec<u32> {
 
 fn run_full(
     fusion_window: usize,
-    fusion_reorder: bool,
     program: &Program,
     n: usize,
     faults: bool,
 ) -> (Vec<u32>, RunReport, MachineCounters) {
-    let mut machine = CapeMachine::new(config(fusion_window, fusion_reorder));
+    let mut machine = CapeMachine::new(config(fusion_window));
     if faults {
         machine.enable_fault_injection(FaultConfig::quiescent(2));
     }
@@ -210,11 +206,10 @@ fn run_full(
 /// jobs every slice.
 fn run_sliced(
     fusion_window: usize,
-    fusion_reorder: bool,
     program: &Program,
     n: usize,
 ) -> (Vec<Vec<u32>>, MachineCounters) {
-    let mut machine = CapeMachine::new(config(fusion_window, fusion_reorder));
+    let mut machine = CapeMachine::new(config(fusion_window));
     let mut mems = [memory(n), memory(n)];
     let mut cps = [
         machine.new_control_processor(),
@@ -269,19 +264,15 @@ proptest! {
         n in 1usize..=128,
     ) {
         let program = build_program(&body, n);
-        let (plain_out, plain, _) = run_full(1, true, &program, n, false);
-        let (inorder_out, inorder, _) = run_full(32, false, &program, n, false);
-        let (reordered_out, reordered, _) = run_full(32, true, &program, n, false);
+        let (plain_out, plain, _) = run_full(1, &program, n, false);
+        let (fused_out, fused, _) = run_full(32, &program, n, false);
 
-        assert_reports_identical(&inorder, &plain, "in-order fusion");
-        assert_reports_identical(&reordered, &plain, "reordered fusion");
-        prop_assert_eq!(&inorder_out, &plain_out, "in-order outputs");
-        prop_assert_eq!(&reordered_out, &plain_out, "reordered outputs");
+        assert_reports_identical(&fused, &plain, "fusion");
+        prop_assert_eq!(&fused_out, &plain_out, "fused outputs");
 
         // The no-op vsetvli guarantee, machine-level: SEW retargeting
         // with an unchanged vl never flushes a window.
-        prop_assert_eq!(reordered.window_flushes.vsetvli, 0);
-        prop_assert_eq!(inorder.window_flushes.vsetvli, 0);
+        prop_assert_eq!(fused.window_flushes.vsetvli, 0);
     }
 
     #[test]
@@ -290,12 +281,12 @@ proptest! {
         n in 1usize..=96,
     ) {
         let program = build_program(&body, n);
-        let (plain_out, plain) = run_sliced(1, true, &program, n);
-        let (reordered_out, reordered) = run_sliced(32, true, &program, n);
-        prop_assert_eq!(&reordered_out, &plain_out, "sliced outputs");
-        prop_assert_eq!(reordered.microops, plain.microops);
-        prop_assert_eq!(reordered.lane_ops, plain.lane_ops);
-        prop_assert_eq!(reordered.vcu_cycles, plain.vcu_cycles);
+        let (plain_out, plain) = run_sliced(1, &program, n);
+        let (fused_out, fused) = run_sliced(32, &program, n);
+        prop_assert_eq!(&fused_out, &plain_out, "sliced outputs");
+        prop_assert_eq!(fused.microops, plain.microops);
+        prop_assert_eq!(fused.lane_ops, plain.lane_ops);
+        prop_assert_eq!(fused.vcu_cycles, plain.vcu_cycles);
     }
 
     #[test]
@@ -304,13 +295,12 @@ proptest! {
         n in 1usize..=96,
     ) {
         let program = build_program(&body, n);
-        let (plain_out, plain, plain_counters) = run_full(1, true, &program, n, true);
-        let (reordered_out, reordered, reordered_counters) =
-            run_full(32, true, &program, n, true);
-        assert_reports_identical(&reordered, &plain, "fault mode");
-        prop_assert_eq!(&reordered_out, &plain_out, "fault-mode outputs");
+        let (plain_out, plain, plain_counters) = run_full(1, &program, n, true);
+        let (fused_out, fused, fused_counters) = run_full(32, &program, n, true);
+        assert_reports_identical(&fused, &plain, "fault mode");
+        prop_assert_eq!(&fused_out, &plain_out, "fault-mode outputs");
         prop_assert_eq!(
-            reordered_counters.fault,
+            fused_counters.fault,
             plain_counters.fault,
             "parity machinery saw identical traffic"
         );

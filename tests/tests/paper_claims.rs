@@ -7,7 +7,7 @@ use cape_csb::{Csb, CsbGeometry, ReductionTree};
 use cape_ucode::metrics::{measure, paper_row};
 use cape_ucode::truth_table::BitSerialAlgorithm;
 use cape_ucode::{Sequencer, VectorOp, VectorOpKind};
-use cape_vcu::Vcu;
+use cape_vcu::{ProgramCache, Vcu};
 
 #[test]
 fn table1_cycle_formulas_match_the_paper() {
@@ -69,22 +69,17 @@ fn redsum_is_roughly_eight_times_faster_than_vadd() {
     // Section V-G: "A vector redsum instruction is thus eight times
     // faster than an element-wise vector addition."
     let vcu = Vcu::new(1024);
+    let mut cache = ProgramCache::default();
     let mut csb = Csb::new(CsbGeometry::new(1024));
     csb.write_vector(1, &[1, 2, 3]);
     csb.write_vector(2, &[4, 5, 6]);
-    let add = vcu
-        .execute(
-            &mut csb,
-            &VectorOp::Add {
-                vd: 3,
-                vs1: 1,
-                vs2: 2,
-            },
-        )
-        .cycles;
-    let red = vcu
-        .execute(&mut csb, &VectorOp::RedSum { vd: 4, vs: 1 })
-        .cycles;
+    let mut cycles = |op: VectorOp| vcu.execute(&mut csb, &op, 32, &mut cache).unwrap().cycles;
+    let add = cycles(VectorOp::Add {
+        vd: 3,
+        vs1: 1,
+        vs2: 2,
+    });
+    let red = cycles(VectorOp::RedSum { vd: 4, vs: 1 });
     let ratio = add as f64 / red as f64;
     assert!((4.0..10.0).contains(&ratio), "redsum advantage {ratio}");
 }
