@@ -44,6 +44,15 @@ pub const BLOCK_LANES: usize = 16;
 /// in the block, contiguously.
 pub(crate) type Lanes = [u32; BLOCK_LANES];
 
+/// Words in one block image ([`ChainBlock::save_image`]): every row-slice
+/// in `(subarray, row)` order, then the tag slices, then the accumulator
+/// slices.
+pub(crate) const IMAGE_WORDS: usize =
+    (SUBARRAYS_PER_CHAIN * TOTAL_ROWS + 2 * SUBARRAYS_PER_CHAIN) * BLOCK_LANES;
+
+/// The block image of a fresh block: all zeros.
+pub(crate) static ZERO_IMAGE: [u32; IMAGE_WORDS] = [0; IMAGE_WORDS];
+
 /// All-ones activity mask when the lane's window is non-zero, all-zeros
 /// when the lane is power-gated — the branchless select the kernels use
 /// to keep masked lanes byte-identical to the skipped scalar path.
@@ -91,8 +100,8 @@ fn row_term_hash(s: usize, r: usize, delta: u32) -> u64 {
 ///
 /// `parity[s][r]` is the XOR-fold of row-slice `rows[s][r]` as seen by
 /// the *write path*: every legitimate mutation — a kernel row write, a
-/// per-lane data-transfer write, a context-restore unpack — XOR-folds
-/// the old and new cache line into it, so on a fault-free block
+/// per-lane data-transfer write, a context restore — XOR-folds the old
+/// and new cache line into it, so on a fault-free block
 /// `parity[s][r] == lane_fold(rows[s][r])` at all times. The fault
 /// injectors ([`ChainBlock::flip_bits`], [`ChainBlock::force_bits`],
 /// [`ChainBlock::scramble`]) mutate row data *without* updating parity
@@ -365,7 +374,7 @@ impl ChainBlock {
         }
     }
 
-    // ----- per-lane access (data transfer, context switch, bring-up) ----
+    // ----- per-lane access (data transfer, bring-up, reference view) ----
 
     /// Current tag bits of subarray `s` in lane `lane`.
     pub fn tags(&self, lane: usize, s: usize) -> u32 {
@@ -467,8 +476,8 @@ impl ChainBlock {
     }
 
     /// Packs lane `lane` into a [`ChainState`] — the same image
-    /// [`Chain::save_state`] produces, so context switches through the
-    /// block layout round-trip bit-exactly against the scalar model.
+    /// [`Chain::save_state`] produces, which [`ChainBlock::to_chain`]
+    /// unpacks into the scalar reference model.
     pub fn save_state(&self, lane: usize) -> ChainState {
         let mut state = ChainState::zeroed();
         for r in 0..DATA_ROWS {
@@ -484,20 +493,50 @@ impl ChainBlock {
         state
     }
 
-    /// Unpacks a [`ChainState`] into lane `lane` — the inverse of
-    /// [`ChainBlock::save_state`].
-    pub fn load_state(&mut self, lane: usize, state: &ChainState) {
-        for r in 0..DATA_ROWS {
-            self.write_column_block(lane, r, &state.regs[r], u32::MAX);
-        }
-        for s in 0..SUBARRAYS_PER_CHAIN {
-            for m in 0..META_ROWS {
-                let w = &mut self.rows[s][DATA_ROWS + m][lane];
-                self.parity[s][DATA_ROWS + m] ^= *w ^ state.meta[s][m];
-                *w = state.meta[s][m];
+    // ----- block images (context save/restore) ------------------------
+
+    /// Appends the block image — [`IMAGE_WORDS`] words, row-slices then
+    /// tag then accumulator slices — to `out` as three straight slice
+    /// copies. Only the first `lanes` lanes hold chains: the rest are
+    /// padding and are stored as zero, so the image depends only on the
+    /// chains' contents.
+    pub fn save_image(&self, out: &mut Vec<u32>, lanes: usize) {
+        let start = out.len();
+        out.extend_from_slice(self.rows.as_flattened().as_flattened());
+        out.extend_from_slice(self.tags.as_flattened());
+        out.extend_from_slice(self.acc.as_flattened());
+        if lanes < BLOCK_LANES {
+            for line in out[start..].chunks_exact_mut(BLOCK_LANES) {
+                line[lanes..].fill(0);
             }
-            self.tags[s][lane] = state.tags[s];
-            self.acc[s][lane] = state.acc[s];
+        }
+    }
+
+    /// Overwrites every row, tag and accumulator slice with a block image
+    /// from [`ChainBlock::save_image`], XOR-folding each row's old and
+    /// new lane fold into its parity word — the delta the per-lane write
+    /// path applies, so a struck row keeps its fold/parity mismatch
+    /// through the restore (DESIGN.md §15).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` is not [`IMAGE_WORDS`] long.
+    pub fn load_image(&mut self, image: &[u32]) {
+        assert_eq!(image.len(), IMAGE_WORDS, "block image has the wrong size");
+        let (rows, regs) = image.split_at(SUBARRAYS_PER_CHAIN * TOTAL_ROWS * BLOCK_LANES);
+        let lines = self.rows.as_flattened_mut().iter_mut();
+        let parity = self.parity.as_flattened_mut().iter_mut();
+        for ((line, p), new) in lines.zip(parity).zip(rows.as_chunks::<BLOCK_LANES>().0) {
+            let mut delta = 0u32;
+            for l in 0..BLOCK_LANES {
+                delta ^= line[l] ^ new[l];
+            }
+            *line = *new;
+            *p ^= delta;
+        }
+        let slices = self.tags.iter_mut().chain(self.acc.iter_mut());
+        for (slice, new) in slices.zip(regs.as_chunks::<BLOCK_LANES>().0) {
+            *slice = *new;
         }
     }
 
@@ -915,12 +954,14 @@ mod tests {
     #[test]
     fn chain_state_roundtrips_through_block() {
         let (block, chains) = seeded_pair(0x5EED);
+        let mut image = Vec::new();
+        block.save_image(&mut image, BLOCK_LANES);
+        let mut reloaded = ChainBlock::new();
+        reloaded.load_image(&image);
+        assert!(reloaded.parity_consistent(), "restore must fold parity");
         for (lane, chain) in chains.iter().enumerate() {
-            let state = block.save_state(lane);
-            assert_eq!(state, chain.save_state(), "lane {lane}");
-            let mut fresh = ChainBlock::new();
-            fresh.load_state(lane, &state);
-            assert_eq!(fresh.save_state(lane), state, "lane {lane} reload");
+            assert_eq!(block.save_state(lane), chain.save_state(), "lane {lane}");
+            assert_eq!(&reloaded.to_chain(lane), chain, "lane {lane} reload");
         }
     }
 }

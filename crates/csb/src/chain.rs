@@ -14,9 +14,12 @@ pub(crate) const META_ROWS: usize = TOTAL_ROWS - DATA_ROWS;
 /// tag/accumulator match registers.
 ///
 /// Metadata rows and match registers are transient within one microop
-/// program, but they are captured anyway so a context switch between any
+/// program, but they are captured anyway so a save/restore between any
 /// two sync points is unconditionally bit-exact — no assumption about
-/// which lowering initializes which row first.
+/// which lowering initializes which row first. (A whole CSB saves its
+/// register file as block images instead; see [`CsbSnapshot`].)
+///
+/// [`CsbSnapshot`]: crate::CsbSnapshot
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainState {
     /// `regs[r][col]` is the element of vector register `r` at lane `col`.

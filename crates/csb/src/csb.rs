@@ -2,8 +2,8 @@
 
 use std::sync::Arc;
 
-use crate::block::BLOCK_LANES;
-use crate::chain::{Chain, ChainState};
+use crate::block::{BLOCK_LANES, IMAGE_WORDS, ZERO_IMAGE};
+use crate::chain::Chain;
 use crate::fault::{
     FaultConfig, FaultKind, FaultLayer, FaultStats, RemapOutcome, ScrubReport, StruckRow,
 };
@@ -14,32 +14,55 @@ use crate::program::MicroProgram;
 use crate::reduction::ReductionTree;
 use crate::stats::MicroOpStats;
 
-/// A captured register-file image of a whole CSB: one [`ChainState`] per
-/// chain, taken at a microprogram sync point.
+/// A captured register-file image of a whole CSB, taken at a
+/// microprogram sync point: every logical block's row-slices (vector
+/// registers and metadata rows), tag slices and accumulator slices, in
+/// logical block order. The image is a straight copy of the SoA block
+/// storage, so it depends on neither the shard split nor which spare
+/// blocks back a remapped chain, and padding lanes are stored as zero.
 ///
-/// The states are reference-counted, so cloning a snapshot (e.g. to keep
-/// one resident image per tenant in a scheduler) is cheap, and restoring
-/// does not copy the image into worker closures.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The image is reference-counted, so cloning a snapshot (e.g. to keep
+/// one resident image per tenant in a scheduler) is cheap. A
+/// [`CsbSnapshot::zeroed`] snapshot holds no image at all. Equality is by
+/// content: `CsbSnapshot::zeroed(g)` equals a save of a fresh
+/// `Csb::new(g)`.
+#[derive(Debug, Clone)]
 pub struct CsbSnapshot {
-    chains: Arc<Vec<ChainState>>,
+    num_chains: usize,
+    /// `None` is the all-zero image, never materialized.
+    image: Option<Arc<Vec<u32>>>,
 }
 
 impl CsbSnapshot {
     /// The all-zero snapshot for `geometry` — what a freshly constructed
     /// CSB holds. Restoring it is a full register-file wipe, so a job
-    /// started from it observes exactly the state of a fresh machine.
+    /// started from it observes exactly the state of a fresh machine. It
+    /// allocates nothing.
     pub fn zeroed(geometry: CsbGeometry) -> Self {
         Self {
-            chains: Arc::new(vec![ChainState::zeroed(); geometry.num_chains()]),
+            num_chains: geometry.num_chains(),
+            image: None,
         }
     }
 
-    /// Number of per-chain states in the snapshot.
+    /// Number of chains the snapshot covers.
     pub fn num_chains(&self) -> usize {
-        self.chains.len()
+        self.num_chains
     }
 }
+
+impl PartialEq for CsbSnapshot {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_chains == other.num_chains
+            && match (&self.image, &other.image) {
+                (Some(a), Some(b)) => a == b,
+                (Some(img), None) | (None, Some(img)) => img.iter().all(|&w| w == 0),
+                (None, None) => true,
+            }
+    }
+}
+
+impl Eq for CsbSnapshot {}
 
 /// Minimum number of *active* chains before a broadcast fans out over the
 /// worker pool; below this, channel transfers cost more than the work.
@@ -438,84 +461,53 @@ impl Csb {
         self.shards[s].window(j)
     }
 
-    /// True when context save/restore fans out over the worker pool. The
-    /// active window is irrelevant here — a context switch moves *every*
-    /// chain's registers, including those of power-gated chains.
-    fn use_pool_for_context(&self) -> bool {
-        self.threads > 1 && self.geometry.num_chains() >= POOL_MIN_ACTIVE
-    }
-
     /// Captures the full register-file image of every chain — vector
-    /// registers through the bulk transposed path, plus metadata rows and
-    /// match registers (see [`ChainState`]), unpacked lane by lane from
-    /// the SoA blocks. Large CSBs fan the capture out over the broadcast
-    /// worker pool, one task per shard.
-    pub fn save_registers(&mut self) -> CsbSnapshot {
+    /// registers, metadata rows and match registers — as straight copies
+    /// of each logical block's row, tag and accumulator slices into one
+    /// pre-sized allocation.
+    pub fn save_registers(&self) -> CsbSnapshot {
         let n = self.geometry.num_chains();
-        let mut chains: Vec<ChainState> = Vec::with_capacity(n);
-        if self.use_pool_for_context() {
-            let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<ChainState>)>();
-            self.pool.apply(&mut self.shards, |s| {
-                let tx = tx.clone();
-                Box::new(move |shard: &mut Shard| {
-                    let _ = tx.send((s, shard.save_states()));
-                })
-            });
-            drop(tx);
-            let mut per_shard: Vec<Vec<ChainState>> = vec![Vec::new(); self.shards.len()];
-            for (s, states) in rx.iter() {
-                per_shard[s] = states;
-            }
-            for states in per_shard {
-                chains.extend(states);
-            }
-        } else {
-            for shard in &self.shards {
-                chains.extend(shard.save_states());
-            }
+        let mut image = Vec::with_capacity(n.div_ceil(BLOCK_LANES) * IMAGE_WORDS);
+        for shard in &self.shards {
+            shard.save_image(&mut image);
         }
         CsbSnapshot {
-            chains: Arc::new(chains),
+            num_chains: n,
+            image: Some(Arc::new(image)),
         }
     }
 
     /// Restores every chain to a previously captured image — the inverse
-    /// of [`Csb::save_registers`], packing each [`ChainState`] back into
-    /// its block lane. Restoring [`CsbSnapshot::zeroed`] wipes the
+    /// of [`Csb::save_registers`], copying each block image back into its
+    /// logical block. Restoring [`CsbSnapshot::zeroed`] wipes the
     /// register file back to fresh-machine state.
     ///
-    /// With the fault layer armed this costs *no* parity rescan: the
-    /// unpack writes through the parity-maintaining paths, so per-row
-    /// parity tracks the restored image exactly, and any strike that
-    /// landed before the restore keeps its fold/parity mismatch through
-    /// the overwrite (a write moves data and parity by the same delta).
+    /// With the fault layer armed this costs *no* parity rescan: the copy
+    /// XOR-folds each row's old and new lane fold into its parity word,
+    /// the same delta the write path applies, so per-row parity tracks
+    /// the restored image exactly, and any strike that landed before the
+    /// restore keeps its fold/parity mismatch through the overwrite.
     /// Multi-tenant slice switches therefore pay only the register copy.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot was taken on a CSB of a different geometry.
     pub fn restore_registers(&mut self, snapshot: &CsbSnapshot) {
-        let n = self.geometry.num_chains();
         assert_eq!(
-            snapshot.num_chains(),
-            n,
+            snapshot.num_chains,
+            self.geometry.num_chains(),
             "snapshot geometry does not match this CSB"
         );
-        if self.use_pool_for_context() {
-            let shard_size = self.shard_size;
-            let states = Arc::clone(&snapshot.chains);
-            self.pool.apply(&mut self.shards, |s| {
-                let states = Arc::clone(&states);
-                Box::new(move |shard: &mut Shard| {
-                    let base = s * shard_size;
-                    shard.load_states(&states[base..base + shard.len()]);
-                })
-            });
-        } else {
-            for (s, shard) in self.shards.iter_mut().enumerate() {
-                let base = s * self.shard_size;
-                shard.load_states(&snapshot.chains[base..base + shard.len()]);
-            }
+        match snapshot.image.as_deref() {
+            Some(image) => self.load_images(image.chunks_exact(IMAGE_WORDS)),
+            None => self.load_images(std::iter::repeat(&ZERO_IMAGE[..])),
+        }
+    }
+
+    /// Loads one block image per logical block, in logical block order.
+    fn load_images<'a>(&mut self, mut images: impl Iterator<Item = &'a [u32]>) {
+        for shard in &mut self.shards {
+            shard.load_image(&mut images);
         }
     }
 
@@ -935,16 +927,82 @@ mod tests {
         let mut csb = small();
         csb.write_vector(9, &[7; 128]);
         csb.set_chain_tags(0, 0, u32::MAX);
-        csb.restore_registers(&CsbSnapshot::zeroed(csb.geometry()));
+        let dirty = csb.save_registers();
+        let zeroed = CsbSnapshot::zeroed(csb.geometry());
+        assert_ne!(dirty, zeroed);
+        csb.restore_registers(&zeroed);
         let fresh = small();
         for c in 0..4 {
+            assert_eq!(csb.chain(c), fresh.chain(c), "chain {c}");
+        }
+        // Equality is by content: the unmaterialized zero image equals a
+        // save of a fresh CSB, whatever its shard split or padding.
+        for chains in [4, 20, 1024] {
+            let g = CsbGeometry::new(chains);
+            assert_eq!(CsbSnapshot::zeroed(g), Csb::new(g).save_registers());
+            assert_eq!(Csb::new(g).save_registers(), CsbSnapshot::zeroed(g));
+        }
+        assert_eq!(csb.save_registers(), zeroed);
+        assert_ne!(CsbSnapshot::zeroed(CsbGeometry::new(8)), zeroed);
+    }
+
+    #[test]
+    fn padding_lanes_read_zero_after_save_restore_and_wipe() {
+        // 20 chains: the last block holds 4 chains and 12 padding lanes.
+        let mut csb = Csb::new(CsbGeometry::new(20));
+        let data: Vec<u32> = (0..640u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        for reg in 0..crate::subarray::DATA_ROWS {
+            csb.write_vector(reg, &data);
+        }
+        for c in 0..20 {
+            csb.set_chain_tags(c, 3, 0xF00D_F00D);
+            csb.set_chain_acc(c, 5, 0xBEEF_BEEF);
+        }
+        // Dirty the padding lanes behind the CSB's back, as a dead-block
+        // scramble does.
+        let shard = csb.shards.last_mut().unwrap();
+        let pad = shard.len()..shard.len().next_multiple_of(BLOCK_LANES);
+        for j in pad.clone() {
+            shard.write_row(j, 0, 0, u32::MAX, u32::MAX);
+            shard.set_tags(j, 1, u32::MAX);
+            shard.set_acc(j, 2, u32::MAX);
+        }
+        let pad_is_zero = |csb: &Csb| {
+            let shard = csb.shards.last().unwrap();
+            pad.clone().all(|j| shard.chain(j) == Chain::new())
+        };
+        let before: Vec<Chain> = (0..20).map(|c| csb.chain(c)).collect();
+
+        let snap = csb.save_registers();
+        let image = snap.image.as_deref().unwrap();
+        assert_eq!(image.len(), 2 * IMAGE_WORDS);
+        let real = 20 % BLOCK_LANES;
+        assert!(
+            image[IMAGE_WORDS..]
+                .chunks_exact(BLOCK_LANES)
+                .all(|line| line[real..].iter().all(|&w| w == 0)),
+            "saved padding lanes must be zero"
+        );
+
+        csb.restore_registers(&snap);
+        assert!(pad_is_zero(&csb), "restore must leave padding zero");
+        for (c, want) in before.iter().enumerate() {
+            assert_eq!(&csb.chain(c), want, "chain {c}");
+        }
+        assert_eq!(csb.save_registers(), snap);
+
+        csb.restore_registers(&CsbSnapshot::zeroed(csb.geometry()));
+        assert!(pad_is_zero(&csb), "wipe must leave padding zero");
+        let fresh = Csb::new(csb.geometry());
+        for c in 0..20 {
             assert_eq!(csb.chain(c), fresh.chain(c), "chain {c}");
         }
     }
 
     #[test]
     fn pooled_snapshot_matches_serial_snapshot() {
-        // 1,024 chains crosses the pool threshold on multi-core hosts.
+        // 1,024 chains: one shard per worker thread on multi-core hosts,
+        // so the image spans every shard.
         let mut csb = Csb::new(CsbGeometry::new(1024));
         let data: Vec<u32> = (0..4096).map(|e| e as u32 ^ 0x5A5A).collect();
         csb.write_vector(2, &data);
@@ -1040,11 +1098,55 @@ mod tests {
 
         assert_eq!(csb.read_vector(5, 128), clean);
         assert_eq!(csb.pending_faults(), 0);
+        // The restore landed in the spare behind logical block 0, and the
+        // image does not depend on which physical block backs it.
+        assert_ne!(csb.shards[0].physical_of(0), 0, "block 0 must be remapped");
+        assert_eq!(csb.save_registers(), snap);
+        assert!(csb.parity_consistent());
         // And the machine still computes correctly on the spare.
         csb.execute(&search1(0, 0, true));
         let stats = csb.fault_stats();
         assert_eq!(stats.blocks_remapped, 1);
         assert!(stats.fully_accounted());
+    }
+
+    #[test]
+    fn strike_survives_restores_of_saved_and_zeroed_snapshots() {
+        let strike = FaultKind::Transient {
+            lane: 2,
+            subarray: 6,
+            row: 3,
+            mask: 0x0100,
+            late: false,
+        };
+        let struck = StruckRow {
+            shard: 0,
+            block: 0,
+            subarray: 6,
+            row: 3,
+        };
+        let saved = {
+            let mut csb = armed(4, 1);
+            csb.write_vector(3, &(0..128).collect::<Vec<u32>>());
+            csb.save_registers()
+        };
+        for snap in [saved, CsbSnapshot::zeroed(CsbGeometry::new(4))] {
+            let mut csb = armed(4, 1);
+            csb.write_vector(3, &[0x5A5A_5A5A; 128]);
+            csb.inject_fault(2, strike);
+            // The restore overwrites the struck row through the parity
+            // fold, so the row keeps its mismatch and detection after the
+            // restore still localizes it.
+            csb.restore_registers(&snap);
+            assert!(!csb.parity_consistent(), "restore absorbed the strike");
+            let report = csb.scrub().unwrap();
+            assert_eq!(report.pending, 1);
+            assert_eq!(csb.struck_rows(), vec![struck]);
+            csb.restore_registers(&snap);
+            let _ = csb.scrub().unwrap();
+            assert_eq!(csb.pending_faults(), 1);
+            assert_eq!(csb.struck_rows(), vec![struck]);
+        }
     }
 
     #[test]

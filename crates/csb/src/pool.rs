@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::block::{ChainBlock, Lanes, BLOCK_LANES};
-use crate::chain::{Chain, ChainState};
+use crate::chain::Chain;
 use crate::geometry::SUBARRAY_COLS;
 use crate::program::PlanOp;
 
@@ -297,28 +297,28 @@ impl Shard {
         self.blocks[b].write_column_block(l, reg, values, col_mask);
     }
 
-    /// Packs every chain of the shard into [`ChainState`]s, in local chain
-    /// order — the context-save fan-out unit.
-    pub fn save_states(&self) -> Vec<ChainState> {
-        (0..self.nchains)
-            .map(|local| {
-                let (b, l) = self.loc(local);
-                self.blocks[b].save_state(l)
-            })
-            .collect()
+    /// Appends the image of every logical block to `out`, in logical
+    /// block order, so the image does not depend on which physical
+    /// blocks (spares included) back them. Padding lanes of a trailing
+    /// partial block are stored as zero.
+    pub fn save_image(&self, out: &mut Vec<u32>) {
+        for (lb, &phys) in self.block_map.iter().enumerate() {
+            let lanes = (self.nchains - lb * BLOCK_LANES).min(BLOCK_LANES);
+            self.blocks[phys as usize].save_image(out, lanes);
+        }
     }
 
-    /// Unpacks one [`ChainState`] per chain, in local chain order — the
-    /// inverse of [`Shard::save_states`].
+    /// Overwrites every logical block, in logical block order, with the
+    /// next image `images` yields — the inverse of
+    /// [`Shard::save_image`].
     ///
     /// # Panics
     ///
-    /// Panics if `states` does not hold exactly one state per chain.
-    pub fn load_states(&mut self, states: &[ChainState]) {
-        assert_eq!(states.len(), self.nchains, "snapshot/shard length mismatch");
-        for (local, state) in states.iter().enumerate() {
-            let (b, l) = self.loc(local);
-            self.blocks[b].load_state(l, state);
+    /// Panics if `images` runs out before every block is loaded.
+    pub fn load_image<'a>(&mut self, images: &mut impl Iterator<Item = &'a [u32]>) {
+        for &phys in &self.block_map {
+            let image = images.next().expect("snapshot holds one image per block");
+            self.blocks[phys as usize].load_image(image);
         }
     }
 
@@ -484,23 +484,11 @@ impl Shard {
     }
 }
 
-/// A closure run on one owned shard by a worker thread. Results travel
-/// through whatever channel the closure captures; the shard itself moves
-/// back through the pool.
-pub(crate) type ShardFn = Box<dyn FnOnce(&mut Shard) + Send + 'static>;
-
-/// What a worker does with the shard it receives: broadcast a lowered
-/// microop program over it, or run an arbitrary owned closure (context
-/// snapshot/restore uses the latter).
-enum Task {
-    Broadcast(Arc<Vec<PlanOp>>),
-    Apply(ShardFn),
-}
-
-/// One unit of work: a shard to own and the task to run on it.
+/// One unit of work: a shard to own and the lowered program to broadcast
+/// over it.
 struct Job {
     shard: Shard,
-    task: Task,
+    ops: Arc<Vec<PlanOp>>,
 }
 
 struct Worker {
@@ -541,10 +529,7 @@ impl WorkerPool {
                 .name(format!("csb-broadcast-{}", self.workers.len()))
                 .spawn(move || {
                     while let Ok(mut job) = job_rx.recv() {
-                        match job.task {
-                            Task::Broadcast(ops) => job.shard.run(&ops),
-                            Task::Apply(f) => f(&mut job.shard),
-                        }
+                        job.shard.run(&job.ops);
                         if res_tx.send(job.shard).is_err() {
                             break;
                         }
@@ -563,22 +548,11 @@ impl WorkerPool {
     /// moved to its worker, run through every microop locally, and moved
     /// back with its partial sums filled in.
     pub fn run(&mut self, shards: &mut [Shard], ops: &Arc<Vec<PlanOp>>) {
-        self.dispatch(shards, |_| Task::Broadcast(Arc::clone(ops)));
-    }
-
-    /// Runs one owned closure per shard concurrently — the context
-    /// snapshot/restore fan-out. `make(i)` builds the closure for shard
-    /// `i`; any results travel through channels the closures capture.
-    pub fn apply(&mut self, shards: &mut [Shard], mut make: impl FnMut(usize) -> ShardFn) {
-        self.dispatch(shards, |i| Task::Apply(make(i)));
-    }
-
-    fn dispatch(&mut self, shards: &mut [Shard], mut task: impl FnMut(usize) -> Task) {
         self.ensure(shards.len());
-        for (i, (slot, worker)) in shards.iter_mut().zip(&self.workers).enumerate() {
+        for (slot, worker) in shards.iter_mut().zip(&self.workers) {
             let job = Job {
                 shard: std::mem::take(slot),
-                task: task(i),
+                ops: Arc::clone(ops),
             };
             worker
                 .tx
@@ -739,16 +713,19 @@ mod tests {
     }
 
     #[test]
-    fn save_states_round_trips_through_blocks() {
+    fn save_image_round_trips_through_blocks() {
         let shard = sample_shard(BLOCK_LANES + 3);
-        let states = shard.save_states();
-        assert_eq!(states.len(), shard.len());
+        let mut image = Vec::new();
+        shard.save_image(&mut image);
+        assert_eq!(image.len(), 2 * crate::block::IMAGE_WORDS);
         let mut fresh = Shard::new(shard.len());
-        fresh.load_states(&states);
+        fresh.load_image(&mut image.chunks_exact(crate::block::IMAGE_WORDS));
         for c in 0..shard.len() {
             assert_eq!(fresh.chain(c), shard.chain(c), "chain {c}");
         }
-        assert_eq!(fresh.save_states(), states);
+        let mut again = Vec::new();
+        fresh.save_image(&mut again);
+        assert_eq!(again, image);
     }
 
     #[test]

@@ -83,7 +83,7 @@ impl Vmu {
         // Element indexing is absolute (restartable page faults resume at
         // the faulting index), so the window maps to one contiguous slice
         // of memory, deposited via the CSB's bulk transposed-write path.
-        let vals = mem.read_u32_slice(addr + (vstart as u64) * 4, vl - vstart);
+        let vals = mem.read_u32_slice(addr.wrapping_add((vstart as u64) * 4), vl - vstart);
         csb.write_vector_at(vd, vstart, &vals);
         let bytes = ((vl - vstart) as u64) * 4;
         let cycles = hbm.read(bytes, self.freq_ghz);
@@ -102,7 +102,7 @@ impl Vmu {
     ) -> VmuTransfer {
         let (vstart, vl) = (csb.vstart(), csb.vl());
         let vals = csb.read_vector_at(vs3, vstart, vl - vstart);
-        mem.write_u32_slice(addr + (vstart as u64) * 4, &vals);
+        mem.write_u32_slice(addr.wrapping_add((vstart as u64) * 4), &vals);
         let bytes = ((vl - vstart) as u64) * 4;
         let cycles = hbm.write(bytes, self.freq_ghz);
         self.finish(hbm, bytes, cycles)

@@ -174,3 +174,39 @@ fn phoenix_loops_hit_the_program_cache() {
         );
     }
 }
+
+#[test]
+fn accesses_at_the_top_of_the_address_space_wrap_to_zero() {
+    // RISC-V effective addresses wrap modulo 2^64: each access below
+    // starts a few bytes under `u64::MAX` and continues at address 0.
+    let top = u64::MAX;
+
+    // A word load across the wrap.
+    let mem = run(
+        CapeConfig::tiny(4),
+        "lw a0, -2(zero)\n sw a0, 0x100(zero)\n halt",
+        |m| m.write_bytes(top - 1, &[0x11, 0x22, 0x33, 0x44]),
+    );
+    assert_eq!(mem.read_u32(0x100), 0x4433_2211);
+
+    // A doubleword store across the wrap reads back byte for byte.
+    let value: u64 = 0x0807_0605_0403_0201;
+    let mem = run(
+        CapeConfig::tiny(4),
+        "ld a0, 0x300(zero)\n sd a0, -4(zero)\n ld a1, -4(zero)\n sd a1, 0x200(zero)\n halt",
+        |m| m.write_u64(0x300, value),
+    );
+    assert_eq!(mem.read_bytes(top - 3, 4), value.to_le_bytes()[..4]);
+    assert_eq!(mem.read_bytes(0, 4), value.to_le_bytes()[4..]);
+    assert_eq!(mem.read_u64(0x200), value);
+
+    // A full-window vector load across the wrap (128 lanes on 4 chains).
+    let words: Vec<u32> = (0..128u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+    let src = words.clone();
+    let mem = run(
+        CapeConfig::tiny(4),
+        "li a0, -8\n vle32.v v1, (a0)\n li a1, 0x1000\n vse32.v v1, (a1)\n halt",
+        move |m| m.write_u32_slice(top - 7, &src),
+    );
+    assert_eq!(mem.read_u32_slice(0x1000, 128), words);
+}
