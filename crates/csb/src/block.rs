@@ -44,14 +44,81 @@ pub const BLOCK_LANES: usize = 16;
 /// in the block, contiguously.
 pub(crate) type Lanes = [u32; BLOCK_LANES];
 
-/// Words in one block image ([`ChainBlock::save_image`]): every row-slice
-/// in `(subarray, row)` order, then the tag slices, then the accumulator
-/// slices.
-pub(crate) const IMAGE_WORDS: usize =
-    (SUBARRAYS_PER_CHAIN * TOTAL_ROWS + 2 * SUBARRAYS_PER_CHAIN) * BLOCK_LANES;
+/// Every row index: the 32 vector registers and the metadata rows.
+pub(crate) const ALL_ROWS: u64 = (1 << TOTAL_ROWS) - 1;
 
-/// The block image of a fresh block: all zeros.
-pub(crate) static ZERO_IMAGE: [u32; IMAGE_WORDS] = [0; IMAGE_WORDS];
+/// Words in the row part of a block image holding the rows in `rows`:
+/// one row-slice per held row of every subarray.
+pub(crate) const fn image_row_words(rows: u64) -> usize {
+    SUBARRAYS_PER_CHAIN * rows.count_ones() as usize * BLOCK_LANES
+}
+
+/// Words in one block image holding the rows in `rows`
+/// ([`ChainBlock::save_image`]): for each subarray its held row-slices in
+/// row order, then the tag slices, then the accumulator slices.
+pub(crate) const fn image_words(rows: u64) -> usize {
+    image_row_words(rows) + 2 * SUBARRAYS_PER_CHAIN * BLOCK_LANES
+}
+
+/// The block image of a fresh block under the empty row mask: its tag
+/// and accumulator slices, all zero.
+pub(crate) static ZERO_IMAGE: [u32; image_words(0)] = [0; image_words(0)];
+
+/// The runs of consecutive row indices set in `rows`, ascending: saves
+/// and restores copy each run of a subarray as one contiguous slice, and
+/// `.flatten()` walks the rows one by one.
+#[inline]
+fn row_runs(mut rows: u64) -> impl Iterator<Item = std::ops::Range<usize>> {
+    std::iter::from_fn(move || {
+        if rows == 0 {
+            return None;
+        }
+        let start = rows.trailing_zeros();
+        let len = (rows >> start).trailing_ones();
+        // Adding the run's lowest bit carries through the run and clears it.
+        rows &= rows.wrapping_add(1 << start);
+        Some(start as usize..(start + len) as usize)
+    })
+}
+
+/// Overwrites a row-slice with `new`, XOR-folding the old and new lane
+/// fold into the row's parity word — the delta the per-lane write path
+/// applies, so a struck row keeps its fold/parity mismatch.
+#[inline]
+fn overwrite(line: &mut Lanes, parity: &mut u32, new: &Lanes) {
+    let mut delta = 0u32;
+    for l in 0..BLOCK_LANES {
+        delta ^= line[l] ^ new[l];
+    }
+    *line = *new;
+    *parity ^= delta;
+}
+
+/// The next row-slice of an image that holds the rows in `held`: the
+/// image's line for row `r` when `held` has it, a zero line otherwise.
+#[inline]
+fn held_line<'a>(lines: &mut std::slice::Iter<'a, Lanes>, held: u64, r: usize) -> &'a Lanes {
+    if held >> r & 1 == 1 {
+        lines
+            .next()
+            .expect("block image holds one line per held row")
+    } else {
+        &[0; BLOCK_LANES]
+    }
+}
+
+/// Content equality of two block images that may hold different rows: a
+/// row an image does not hold reads as zero.
+pub(crate) fn images_equal(a: &[u32], a_rows: u64, b: &[u32], b_rows: u64) -> bool {
+    let (a_lines, a_regs) = a.split_at(image_row_words(a_rows));
+    let (b_lines, b_regs) = b.split_at(image_row_words(b_rows));
+    let (mut a_lines, mut b_lines) = (a_lines.as_chunks().0.iter(), b_lines.as_chunks().0.iter());
+    (0..SUBARRAYS_PER_CHAIN).all(|_| {
+        row_runs(a_rows | b_rows)
+            .flatten()
+            .all(|r| held_line(&mut a_lines, a_rows, r) == held_line(&mut b_lines, b_rows, r))
+    }) && a_regs == b_regs
+}
 
 /// All-ones activity mask when the lane's window is non-zero, all-zeros
 /// when the lane is power-gated — the branchless select the kernels use
@@ -495,14 +562,19 @@ impl ChainBlock {
 
     // ----- block images (context save/restore) ------------------------
 
-    /// Appends the block image — [`IMAGE_WORDS`] words, row-slices then
-    /// tag then accumulator slices — to `out` as three straight slice
-    /// copies. Only the first `lanes` lanes hold chains: the rest are
-    /// padding and are stored as zero, so the image depends only on the
-    /// chains' contents.
-    pub fn save_image(&self, out: &mut Vec<u32>, lanes: usize) {
+    /// Appends the block image holding the rows in `rows` —
+    /// [`image_words`]`(rows)` words: each subarray's held row-slices in
+    /// row order, then the tag and accumulator slices — to `out` as
+    /// straight slice copies. Only the first `lanes` lanes hold chains:
+    /// the rest are padding and are stored as zero, so the image depends
+    /// only on the chains' contents.
+    pub fn save_image(&self, out: &mut Vec<u32>, lanes: usize, rows: u64) {
         let start = out.len();
-        out.extend_from_slice(self.rows.as_flattened().as_flattened());
+        for sub in &self.rows {
+            for run in row_runs(rows) {
+                out.extend_from_slice(sub[run].as_flattened());
+            }
+        }
         out.extend_from_slice(self.tags.as_flattened());
         out.extend_from_slice(self.acc.as_flattened());
         if lanes < BLOCK_LANES {
@@ -512,32 +584,60 @@ impl ChainBlock {
         }
     }
 
-    /// Overwrites every row, tag and accumulator slice with a block image
-    /// from [`ChainBlock::save_image`], XOR-folding each row's old and
-    /// new lane fold into its parity word — the delta the per-lane write
-    /// path applies, so a struck row keeps its fold/parity mismatch
-    /// through the restore (DESIGN.md §15).
+    /// Loads a block image from [`ChainBlock::save_image`] that holds the
+    /// rows in `held`: rewrites every row-slice in `rewrite` (a superset
+    /// of `held`) — from the image when held, with zeros otherwise — and
+    /// every tag and accumulator slice. Each rewritten row XOR-folds its
+    /// old and new lane fold into its parity word — the delta the
+    /// per-lane write path applies, so a struck row keeps its fold/parity
+    /// mismatch through the restore (DESIGN.md §15). Rows outside
+    /// `rewrite` are left alone: the caller guarantees they are zero here
+    /// and in the image.
     ///
     /// # Panics
     ///
-    /// Panics if `image` is not [`IMAGE_WORDS`] long.
-    pub fn load_image(&mut self, image: &[u32]) {
-        assert_eq!(image.len(), IMAGE_WORDS, "block image has the wrong size");
-        let (rows, regs) = image.split_at(SUBARRAYS_PER_CHAIN * TOTAL_ROWS * BLOCK_LANES);
-        let lines = self.rows.as_flattened_mut().iter_mut();
-        let parity = self.parity.as_flattened_mut().iter_mut();
-        for ((line, p), new) in lines.zip(parity).zip(rows.as_chunks::<BLOCK_LANES>().0) {
-            let mut delta = 0u32;
-            for l in 0..BLOCK_LANES {
-                delta ^= line[l] ^ new[l];
+    /// Panics if `image` is not [`image_words`]`(held)` long.
+    pub fn load_image(&mut self, image: &[u32], held: u64, rewrite: u64) {
+        assert_eq!(
+            image.len(),
+            image_words(held),
+            "block image has the wrong size"
+        );
+        debug_assert_eq!(held & !rewrite, 0, "a held row is not rewritten");
+        let (rows, regs) = image.split_at(image_row_words(held));
+        let mut lines = rows.as_chunks::<BLOCK_LANES>().0;
+        for (sub, parity) in self.rows.iter_mut().zip(&mut self.parity) {
+            for run in row_runs(held) {
+                let (new, rest) = lines.split_at(run.len());
+                lines = rest;
+                let olds = sub[run.clone()].iter_mut().zip(&mut parity[run]);
+                for ((line, p), new) in olds.zip(new) {
+                    overwrite(line, p, new);
+                }
             }
-            *line = *new;
-            *p ^= delta;
+            for r in row_runs(rewrite & !held).flatten() {
+                overwrite(&mut sub[r], &mut parity[r], &[0; BLOCK_LANES]);
+            }
         }
         let slices = self.tags.iter_mut().chain(self.acc.iter_mut());
         for (slice, new) in slices.zip(regs.as_chunks::<BLOCK_LANES>().0) {
             *slice = *new;
         }
+    }
+
+    /// The rows that hold a nonzero bit in some subarray and lane — the
+    /// ground truth a live-row mask must cover. O(block); debug checks
+    /// only.
+    pub fn nonzero_rows(&self) -> u64 {
+        let mut rows = 0u64;
+        for sub in &self.rows {
+            for (r, line) in sub.iter().enumerate() {
+                if line.iter().any(|&w| w != 0) {
+                    rows |= 1 << r;
+                }
+            }
+        }
+        rows
     }
 
     /// Materializes lane `lane` as a scalar [`Chain`] (reference-model
@@ -954,14 +1054,53 @@ mod tests {
     #[test]
     fn chain_state_roundtrips_through_block() {
         let (block, chains) = seeded_pair(0x5EED);
-        let mut image = Vec::new();
-        block.save_image(&mut image, BLOCK_LANES);
-        let mut reloaded = ChainBlock::new();
-        reloaded.load_image(&image);
-        assert!(reloaded.parity_consistent(), "restore must fold parity");
-        for (lane, chain) in chains.iter().enumerate() {
-            assert_eq!(block.save_state(lane), chain.save_state(), "lane {lane}");
-            assert_eq!(&reloaded.to_chain(lane), chain, "lane {lane} reload");
+        // `seeded_pair` writes registers 0..6 only: the full image and
+        // the image of just those rows reload to the same chains.
+        let live = block.nonzero_rows();
+        assert_eq!(live, 0b11_1111);
+        for rows in [ALL_ROWS, live] {
+            let mut image = Vec::new();
+            block.save_image(&mut image, BLOCK_LANES, rows);
+            assert_eq!(image.len(), image_words(rows));
+            let mut reloaded = ChainBlock::new();
+            reloaded.load_image(&image, rows, rows);
+            assert!(reloaded.parity_consistent(), "restore must fold parity");
+            for (lane, chain) in chains.iter().enumerate() {
+                assert_eq!(block.save_state(lane), chain.save_state(), "lane {lane}");
+                assert_eq!(&reloaded.to_chain(lane), chain, "lane {lane} reload");
+            }
         }
+    }
+
+    #[test]
+    fn load_zeroes_rewritten_rows_the_image_lacks() {
+        let (mut block, _) = seeded_pair(0xF00D);
+        block.rebuild_parity();
+        // An image holding register 2 only, loaded over every live row:
+        // register 2 comes back, the other rewritten rows read zero.
+        let mut image = Vec::new();
+        block.save_image(&mut image, BLOCK_LANES, 1 << 2);
+        let want = block.read_column_block(5, 2);
+        block.load_image(&image, 1 << 2, block.nonzero_rows());
+        assert_eq!(block.nonzero_rows(), 1 << 2);
+        assert_eq!(block.read_column_block(5, 2), want);
+        assert!(block.parity_consistent(), "zeroed rows must fold parity");
+    }
+
+    #[test]
+    fn images_compare_by_content_across_row_masks() {
+        let save = |block: &ChainBlock, rows| {
+            let mut image = Vec::new();
+            block.save_image(&mut image, BLOCK_LANES, rows);
+            image
+        };
+        let (block, _) = seeded_pair(0xAB);
+        let (live, full) = (block.nonzero_rows(), save(&block, ALL_ROWS));
+        assert!(images_equal(&save(&block, live), live, &full, ALL_ROWS));
+        // Dropping a nonzero row changes the content.
+        let fewer = live & !1;
+        assert!(!images_equal(&save(&block, fewer), fewer, &full, ALL_ROWS));
+        let fresh = save(&ChainBlock::new(), ALL_ROWS);
+        assert!(images_equal(&ZERO_IMAGE, 0, &fresh, ALL_ROWS));
     }
 }

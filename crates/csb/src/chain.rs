@@ -241,13 +241,13 @@ impl Chain {
 
     /// Structural validation of the one-row-per-subarray update rule. The
     /// broadcast path validates once per program at plan lowering
-    /// ([`crate::program::lower`]); this debug-only re-check guards the
-    /// reference model's direct-execute path without taxing release runs.
+    /// ([`crate::program::lower`]); this re-check makes the reference
+    /// model reject a malformed update in every build profile too.
     fn check_one_row_per_subarray(&self, writes: &[WriteSpec]) {
         let mut seen = 0u32;
         for w in writes {
             let bit = 1u32 << w.subarray;
-            debug_assert!(
+            assert!(
                 seen & bit == 0,
                 "update writes two rows of subarray {}",
                 w.subarray

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::block::{BLOCK_LANES, IMAGE_WORDS, ZERO_IMAGE};
+use crate::block::{image_words, images_equal, ALL_ROWS, BLOCK_LANES, ZERO_IMAGE};
 use crate::chain::Chain;
 use crate::fault::{
     FaultConfig, FaultKind, FaultLayer, FaultStats, RemapOutcome, ScrubReport, StruckRow,
@@ -13,34 +13,43 @@ use crate::pool::{Shard, WorkerPool};
 use crate::program::MicroProgram;
 use crate::reduction::ReductionTree;
 use crate::stats::MicroOpStats;
+use crate::subarray::DATA_ROWS;
 
 /// A captured register-file image of a whole CSB, taken at a
-/// microprogram sync point: every logical block's row-slices (vector
-/// registers and metadata rows), tag slices and accumulator slices, in
-/// logical block order. The image is a straight copy of the SoA block
-/// storage, so it depends on neither the shard split nor which spare
-/// blocks back a remapped chain, and padding lanes are stored as zero.
+/// microprogram sync point. It records a row mask — the row indices the
+/// CSB's live-row mask held at the save — and, for every logical block in
+/// logical block order, the masked row-slices of each subarray in row
+/// order, then the tag slices and accumulator slices. Every row outside
+/// the mask was zero at the save, so the image is the whole register
+/// file: a context switch copies only the rows a tenant has written. The
+/// image is a straight copy of the SoA block storage, so it depends on
+/// neither the shard split nor which spare blocks back a remapped chain,
+/// and padding lanes are stored as zero.
 ///
 /// The image is reference-counted, so cloning a snapshot (e.g. to keep
 /// one resident image per tenant in a scheduler) is cheap. A
 /// [`CsbSnapshot::zeroed`] snapshot holds no image at all. Equality is by
-/// content: `CsbSnapshot::zeroed(g)` equals a save of a fresh
+/// content across row masks (a row a snapshot does not hold reads as
+/// zero): `CsbSnapshot::zeroed(g)` equals a save of a fresh
 /// `Csb::new(g)`.
 #[derive(Debug, Clone)]
 pub struct CsbSnapshot {
     num_chains: usize,
+    /// The rows the image holds; every other row is zero.
+    rows: u64,
     /// `None` is the all-zero image, never materialized.
     image: Option<Arc<Vec<u32>>>,
 }
 
 impl CsbSnapshot {
     /// The all-zero snapshot for `geometry` — what a freshly constructed
-    /// CSB holds. Restoring it is a full register-file wipe, so a job
-    /// started from it observes exactly the state of a fresh machine. It
-    /// allocates nothing.
+    /// CSB holds. Restoring it wipes the register file back to a fresh
+    /// machine's state, so a job started from it observes exactly that.
+    /// It holds no rows and allocates nothing.
     pub fn zeroed(geometry: CsbGeometry) -> Self {
         Self {
             num_chains: geometry.num_chains(),
+            rows: 0,
             image: None,
         }
     }
@@ -49,16 +58,21 @@ impl CsbSnapshot {
     pub fn num_chains(&self) -> usize {
         self.num_chains
     }
+
+    /// The image of logical block `b` ([`ZERO_IMAGE`] when unmaterialized).
+    fn block(&self, b: usize) -> &[u32] {
+        let words = image_words(self.rows);
+        self.image
+            .as_deref()
+            .map_or(&ZERO_IMAGE[..], |image| &image[b * words..][..words])
+    }
 }
 
 impl PartialEq for CsbSnapshot {
     fn eq(&self, other: &Self) -> bool {
         self.num_chains == other.num_chains
-            && match (&self.image, &other.image) {
-                (Some(a), Some(b)) => a == b,
-                (Some(img), None) | (None, Some(img)) => img.iter().all(|&w| w == 0),
-                (None, None) => true,
-            }
+            && (0..self.num_chains.div_ceil(BLOCK_LANES))
+                .all(|b| images_equal(self.block(b), self.rows, other.block(b), other.rows))
     }
 }
 
@@ -108,6 +122,13 @@ pub struct Csb {
     /// default) costs one branch per broadcast — the PR 4 kernels run at
     /// full speed with injection disabled.
     fault: Option<Box<FaultLayer>>,
+    /// Live-row mask over the row indices: a row whose bit is clear is
+    /// zero in every subarray and lane of every logical block. Broadcasts
+    /// and data transfers OR in the rows they write, and a restore sets
+    /// it to the snapshot's rows, so a context switch copies only these.
+    /// While the fault layer is armed every row counts as live
+    /// ([`Csb::live_rows`]): injectors and remaps write rows it cannot see.
+    live_rows: u64,
 }
 
 impl Csb {
@@ -137,6 +158,7 @@ impl Csb {
             threads,
             pool: WorkerPool::new(),
             fault: None,
+            live_rows: 0,
         };
         csb.recompute_windows();
         csb
@@ -244,6 +266,7 @@ impl Csb {
         if program.is_empty() {
             return Vec::new();
         }
+        self.live_rows |= program.written_rows();
         if let Some(f) = self.fault.as_deref_mut() {
             f.pre_broadcast(&mut self.shards);
         }
@@ -339,6 +362,7 @@ impl Csb {
     pub fn write_chain_row(&mut self, i: usize, sub: usize, row: usize, data: u32, mask: u32) {
         let (s, j) = self.shard_of(i);
         self.shards[s].write_row(j, sub, row, data, mask);
+        self.live_rows |= 1 << row;
     }
 
     /// Location of vector element `elem`.
@@ -352,6 +376,7 @@ impl Csb {
         let loc = self.geometry.locate(elem);
         let (s, j) = self.shard_of(loc.chain);
         self.shards[s].write_element(j, reg, loc.col, value);
+        self.live_rows |= 1 << reg;
     }
 
     /// Reads element `elem` of vector register `reg`.
@@ -384,13 +409,14 @@ impl Csb {
         let n = self.geometry.num_chains();
         let mut out = vec![0u32; len];
         for c in 0..n {
-            let (k_lo, k_hi) = Self::col_range(c, start, end, n);
-            if k_lo >= k_hi {
+            let cols = self.geometry.window_mask(c, start, end);
+            if cols == 0 {
                 continue;
             }
             let (s, j) = self.shard_of(c);
             let vals = self.shards[s].read_column_block(j, reg);
-            for (k, &v) in vals.iter().enumerate().take(k_hi).skip(k_lo) {
+            let (lo, hi) = (cols.trailing_zeros(), u32::BITS - cols.leading_zeros());
+            for (k, &v) in vals.iter().enumerate().take(hi as usize).skip(lo as usize) {
                 out[k * n + c - start] = v;
             }
         }
@@ -413,46 +439,35 @@ impl Csb {
     ///
     /// # Panics
     ///
-    /// Panics if `start + values.len() > MAX_VL`.
+    /// Panics if `reg` is not a vector register or
+    /// `start + values.len() > MAX_VL`.
     pub fn write_vector_at(&mut self, reg: usize, start: usize, values: &[u32]) {
         let end = start + values.len();
+        assert!(reg < DATA_ROWS, "vector register {reg} out of range");
         assert!(
             end <= self.max_vl(),
             "element range {start}..{end} exceeds MAX_VL"
         );
+        self.live_rows |= 1 << reg;
         let n = self.geometry.num_chains();
         for c in 0..n {
-            let (k_lo, k_hi) = Self::col_range(c, start, end, n);
-            if k_lo >= k_hi {
+            let cols = self.geometry.window_mask(c, start, end);
+            if cols == 0 {
                 continue;
             }
             let mut vals = [0u32; SUBARRAY_COLS];
-            for (k, v) in vals.iter_mut().enumerate().take(k_hi).skip(k_lo) {
+            let (lo, hi) = (cols.trailing_zeros(), u32::BITS - cols.leading_zeros());
+            for (k, v) in vals
+                .iter_mut()
+                .enumerate()
+                .take(hi as usize)
+                .skip(lo as usize)
+            {
                 *v = values[k * n + c - start];
             }
-            let col_mask = Self::col_mask(k_lo, k_hi);
             let (s, j) = self.shard_of(c);
-            self.shards[s].write_column_block(j, reg, &vals, col_mask);
+            self.shards[s].write_column_block(j, reg, &vals, cols);
         }
-    }
-
-    /// Columns `k_lo..k_hi` of chain `c` hold the elements of `start..end`
-    /// that live in `c` (element `e` sits at chain `e % n`, column
-    /// `e / n`).
-    fn col_range(c: usize, start: usize, end: usize, n: usize) -> (usize, usize) {
-        let k_lo = if start > c {
-            (start - c).div_ceil(n)
-        } else {
-            0
-        };
-        let k_hi = if end > c { (end - c).div_ceil(n) } else { 0 };
-        (k_lo, k_hi)
-    }
-
-    /// Bit mask with bits `k_lo..k_hi` set (`k_hi <= 32`).
-    fn col_mask(k_lo: usize, k_hi: usize) -> u32 {
-        let below = |k: usize| if k >= 32 { u32::MAX } else { (1u32 << k) - 1 };
-        below(k_hi) & !below(k_lo)
     }
 
     /// Per-chain window mask for chain `i`.
@@ -461,33 +476,60 @@ impl Csb {
         self.shards[s].window(j)
     }
 
-    /// Captures the full register-file image of every chain — vector
+    /// The live-row mask: every row index while the fault layer is armed
+    /// (injectors, stuck-at re-assertion and remap copies write rows the
+    /// mask cannot see), the tracked mask otherwise.
+    fn live_rows(&self) -> u64 {
+        if self.fault.is_some() {
+            ALL_ROWS
+        } else {
+            self.live_rows
+        }
+    }
+
+    /// Captures the register-file image of every chain — vector
     /// registers, metadata rows and match registers — as straight copies
-    /// of each logical block's row, tag and accumulator slices into one
-    /// pre-sized allocation.
+    /// of each logical block's live row-slices and its tag and
+    /// accumulator slices into one pre-sized allocation. Only the rows in
+    /// the live-row mask are copied: every other row is zero, and the
+    /// snapshot records the mask so a restore reads them back as zero.
+    /// With the fault layer armed every row is live and the image is the
+    /// full register file.
     pub fn save_registers(&self) -> CsbSnapshot {
+        let rows = self.live_rows();
+        debug_assert_eq!(
+            self.shards.iter().fold(0, |r, s| r | s.nonzero_rows()) & !rows,
+            0,
+            "a row outside the live-row mask holds a nonzero bit"
+        );
         let n = self.geometry.num_chains();
-        let mut image = Vec::with_capacity(n.div_ceil(BLOCK_LANES) * IMAGE_WORDS);
+        let mut image = Vec::with_capacity(n.div_ceil(BLOCK_LANES) * image_words(rows));
         for shard in &self.shards {
-            shard.save_image(&mut image);
+            shard.save_image(&mut image, rows);
         }
         CsbSnapshot {
             num_chains: n,
+            rows,
             image: Some(Arc::new(image)),
         }
     }
 
     /// Restores every chain to a previously captured image — the inverse
-    /// of [`Csb::save_registers`], copying each block image back into its
-    /// logical block. Restoring [`CsbSnapshot::zeroed`] wipes the
-    /// register file back to fresh-machine state.
+    /// of [`Csb::save_registers`]. It rewrites every row that is live
+    /// here or held by the snapshot: a held row is copied from the
+    /// image, any other is zeroed. Rows outside both masks are zero on
+    /// both sides and are skipped. Tag and accumulator slices are always
+    /// copied, and the live-row mask becomes the snapshot's. Restoring
+    /// [`CsbSnapshot::zeroed`] wipes the live rows and the match
+    /// registers back to fresh-machine state.
     ///
-    /// With the fault layer armed this costs *no* parity rescan: the copy
-    /// XOR-folds each row's old and new lane fold into its parity word,
-    /// the same delta the write path applies, so per-row parity tracks
-    /// the restored image exactly, and any strike that landed before the
-    /// restore keeps its fold/parity mismatch through the overwrite.
-    /// Multi-tenant slice switches therefore pay only the register copy.
+    /// With the fault layer armed this costs *no* parity rescan: every
+    /// row is live, and each rewritten row XOR-folds its old and new lane
+    /// fold into its parity word, the same delta the write path applies,
+    /// so per-row parity tracks the restored image exactly, and any
+    /// strike that landed before the restore keeps its fold/parity
+    /// mismatch through the overwrite. Multi-tenant slice switches
+    /// therefore pay only the register copy.
     ///
     /// # Panics
     ///
@@ -498,17 +540,12 @@ impl Csb {
             self.geometry.num_chains(),
             "snapshot geometry does not match this CSB"
         );
-        match snapshot.image.as_deref() {
-            Some(image) => self.load_images(image.chunks_exact(IMAGE_WORDS)),
-            None => self.load_images(std::iter::repeat(&ZERO_IMAGE[..])),
-        }
-    }
-
-    /// Loads one block image per logical block, in logical block order.
-    fn load_images<'a>(&mut self, mut images: impl Iterator<Item = &'a [u32]>) {
+        let (held, rewrite) = (snapshot.rows, self.live_rows() | snapshot.rows);
+        let mut images = (0..snapshot.num_chains.div_ceil(BLOCK_LANES)).map(|b| snapshot.block(b));
         for shard in &mut self.shards {
-            shard.load_image(&mut images);
+            shard.load_image(&mut images, held, rewrite);
         }
+        self.live_rows = held;
     }
 
     // ---- fault injection, detection and recovery ----------------------
@@ -959,7 +996,8 @@ mod tests {
             csb.set_chain_acc(c, 5, 0xBEEF_BEEF);
         }
         // Dirty the padding lanes behind the CSB's back, as a dead-block
-        // scramble does.
+        // scramble does. Only live rows may be dirtied: the writes above
+        // made every vector register live, row 0 included.
         let shard = csb.shards.last_mut().unwrap();
         let pad = shard.len()..shard.len().next_multiple_of(BLOCK_LANES);
         for j in pad.clone() {
@@ -975,10 +1013,11 @@ mod tests {
 
         let snap = csb.save_registers();
         let image = snap.image.as_deref().unwrap();
-        assert_eq!(image.len(), 2 * IMAGE_WORDS);
+        let words = image_words(snap.rows);
+        assert_eq!(image.len(), 2 * words);
         let real = 20 % BLOCK_LANES;
         assert!(
-            image[IMAGE_WORDS..]
+            image[words..]
                 .chunks_exact(BLOCK_LANES)
                 .all(|line| line[real..].iter().all(|&w| w == 0)),
             "saved padding lanes must be zero"

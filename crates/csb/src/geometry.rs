@@ -93,16 +93,20 @@ impl CsbGeometry {
     ///
     /// Bit `k` of the result is set iff column `k` of `chain` maps to an
     /// element inside the window. Used to implement RISC-V's `vstart`/`vl`
-    /// semantics (Section V-F).
+    /// semantics (Section V-F), and by bulk transfers for the columns an
+    /// element range covers.
+    ///
+    /// Column `k` holds element `k * C + chain`, so the window covers the
+    /// contiguous columns from the first at or past `vstart` up to the
+    /// first at or past `vl`; the mask is computed in closed form.
     pub fn window_mask(&self, chain: usize, vstart: usize, vl: usize) -> u32 {
-        let mut mask = 0u32;
-        for k in 0..SUBARRAY_COLS {
-            let e = k * self.num_chains + chain;
-            if e >= vstart && e < vl {
-                mask |= 1 << k;
-            }
-        }
-        mask
+        let first_col_from = |e: usize| {
+            e.saturating_sub(chain)
+                .div_ceil(self.num_chains)
+                .min(SUBARRAY_COLS)
+        };
+        let below = |k: usize| !u32::MAX.checked_shl(k as u32).unwrap_or(0);
+        below(first_col_from(vl)) & !below(first_col_from(vstart))
     }
 
     /// Total storage capacity of the CSB in bytes
@@ -115,6 +119,7 @@ impl CsbGeometry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn locate_interleaves_across_chains() {
@@ -167,6 +172,38 @@ mod tests {
         // chain 1: elems 1,3,5,.. -> col 1 (elem 3) active.
         assert_eq!(g.window_mask(0, 3, 5), 0b100);
         assert_eq!(g.window_mask(1, 3, 5), 0b010);
+    }
+
+    proptest! {
+        /// The closed form agrees with the per-column definition for any
+        /// chain count and window `vstart <= vl <= MAX_VL`, with the
+        /// empty, `vstart = vl` and fully open edges drawn often.
+        #[test]
+        fn window_mask_matches_per_column_definition(
+            chains in 1usize..5000,
+            chain_raw in any::<usize>(),
+            vl_pick in 0u8..4,
+            vl_raw in any::<usize>(),
+            vstart_pick in 0u8..4,
+            vstart_raw in any::<usize>(),
+        ) {
+            let g = CsbGeometry::new(chains);
+            let chain = chain_raw % chains;
+            let vl = match vl_pick {
+                0 => 0,
+                1 => g.max_vl(),
+                _ => vl_raw % (g.max_vl() + 1),
+            };
+            let vstart = match vstart_pick {
+                0 => 0,
+                1 => vl,
+                _ => vstart_raw % (vl + 1),
+            };
+            let want = (0..SUBARRAY_COLS)
+                .filter(|&k| (vstart..vl).contains(&(k * chains + chain)))
+                .fold(0u32, |m, k| m | 1 << k);
+            prop_assert_eq!(g.window_mask(chain, vstart, vl), want);
+        }
     }
 
     #[test]

@@ -297,29 +297,43 @@ impl Shard {
         self.blocks[b].write_column_block(l, reg, values, col_mask);
     }
 
-    /// Appends the image of every logical block to `out`, in logical
-    /// block order, so the image does not depend on which physical
-    /// blocks (spares included) back them. Padding lanes of a trailing
-    /// partial block are stored as zero.
-    pub fn save_image(&self, out: &mut Vec<u32>) {
+    /// Appends the image of every logical block, holding the rows in
+    /// `rows`, to `out` in logical block order, so the image does not
+    /// depend on which physical blocks (spares included) back them.
+    /// Padding lanes of a trailing partial block are stored as zero.
+    pub fn save_image(&self, out: &mut Vec<u32>, rows: u64) {
         for (lb, &phys) in self.block_map.iter().enumerate() {
             let lanes = (self.nchains - lb * BLOCK_LANES).min(BLOCK_LANES);
-            self.blocks[phys as usize].save_image(out, lanes);
+            self.blocks[phys as usize].save_image(out, lanes, rows);
         }
     }
 
-    /// Overwrites every logical block, in logical block order, with the
-    /// next image `images` yields — the inverse of
-    /// [`Shard::save_image`].
+    /// Loads every logical block, in logical block order, from the next
+    /// image `images` yields — the inverse of [`Shard::save_image`] for
+    /// images holding the rows in `held`, rewriting the rows in
+    /// `rewrite` (see [`ChainBlock::load_image`]).
     ///
     /// # Panics
     ///
     /// Panics if `images` runs out before every block is loaded.
-    pub fn load_image<'a>(&mut self, images: &mut impl Iterator<Item = &'a [u32]>) {
+    pub fn load_image<'a>(
+        &mut self,
+        images: &mut impl Iterator<Item = &'a [u32]>,
+        held: u64,
+        rewrite: u64,
+    ) {
         for &phys in &self.block_map {
             let image = images.next().expect("snapshot holds one image per block");
-            self.blocks[phys as usize].load_image(image);
+            self.blocks[phys as usize].load_image(image, held, rewrite);
         }
+    }
+
+    /// The rows holding a nonzero bit in some logical block (debug
+    /// checks only).
+    pub fn nonzero_rows(&self) -> u64 {
+        self.block_map
+            .iter()
+            .fold(0, |rows, &p| rows | self.blocks[p as usize].nonzero_rows())
     }
 
     // ---- fault layer: spares, quarantine and whole-block remap --------
@@ -601,6 +615,7 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{image_words, ALL_ROWS};
     use crate::microop::{MicroOp, Probe, TagDest, TagMode};
     use crate::program::lower;
 
@@ -714,18 +729,23 @@ mod tests {
 
     #[test]
     fn save_image_round_trips_through_blocks() {
+        // `sample_shard` writes register 1 only: the full image and the
+        // image of that one row both round-trip.
         let shard = sample_shard(BLOCK_LANES + 3);
-        let mut image = Vec::new();
-        shard.save_image(&mut image);
-        assert_eq!(image.len(), 2 * crate::block::IMAGE_WORDS);
-        let mut fresh = Shard::new(shard.len());
-        fresh.load_image(&mut image.chunks_exact(crate::block::IMAGE_WORDS));
-        for c in 0..shard.len() {
-            assert_eq!(fresh.chain(c), shard.chain(c), "chain {c}");
+        assert_eq!(shard.nonzero_rows(), 1 << 1);
+        for rows in [ALL_ROWS, 1 << 1] {
+            let mut image = Vec::new();
+            shard.save_image(&mut image, rows);
+            assert_eq!(image.len(), 2 * image_words(rows));
+            let mut fresh = Shard::new(shard.len());
+            fresh.load_image(&mut image.chunks_exact(image_words(rows)), rows, rows);
+            for c in 0..shard.len() {
+                assert_eq!(fresh.chain(c), shard.chain(c), "chain {c}");
+            }
+            let mut again = Vec::new();
+            fresh.save_image(&mut again, rows);
+            assert_eq!(again, image);
         }
-        let mut again = Vec::new();
-        fresh.save_image(&mut again);
-        assert_eq!(again, image);
     }
 
     #[test]

@@ -614,6 +614,10 @@ pub struct MicroProgram {
     /// plan relative to plain concatenation — compile-time metadata, so
     /// cached windows keep reporting their win on every execution.
     dead_stores: u32,
+    /// Bit `r` is set when an op writes row `r` of some subarray
+    /// ([`MicroOp::Update`] writes and [`MicroOp::Write`]). Taken from
+    /// the op list, so it covers every row the plan can write.
+    written_rows: u64,
 }
 
 impl MicroProgram {
@@ -636,11 +640,17 @@ impl MicroProgram {
             })
             .collect();
         let plan = fuse_steps(ops.iter().map(lower).collect());
+        let written_rows = ops.iter().fold(0u64, |rows, op| match op {
+            MicroOp::Update { writes } => writes.iter().fold(rows, |rows, w| rows | 1 << w.row),
+            MicroOp::Write { row, .. } => rows | 1 << row,
+            _ => rows,
+        });
         Self {
             ops: Arc::new(ops),
             plan: Arc::new(plan),
             sync_points,
             dead_stores: 0,
+            written_rows,
         }
     }
 
@@ -659,7 +669,8 @@ impl MicroProgram {
     /// [`MicroOpStats`] — and everything derived from them (modeled
     /// cycles, energy, the golden fault replay) — are identical to
     /// running the parts one at a time; only the host broadcast plan
-    /// shrinks.
+    /// shrinks. The written-row mask comes from that op list too, so it
+    /// still covers every row the (smaller) plan writes.
     pub fn windowed(parts: &[&MicroProgram]) -> Self {
         let ops: Vec<MicroOp> = parts.iter().flat_map(|p| p.ops().iter().cloned()).collect();
         let mut fused = Self::new(ops);
@@ -676,6 +687,12 @@ impl MicroProgram {
     /// single-instruction programs.
     pub fn dead_stores(&self) -> u32 {
         self.dead_stores
+    }
+
+    /// The rows this program may write, as a bit mask over row indices
+    /// (see [`Csb`](crate::Csb)'s live-row mask).
+    pub(crate) fn written_rows(&self) -> u64 {
+        self.written_rows
     }
 
     /// The microops in broadcast order.
