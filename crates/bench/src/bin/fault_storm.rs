@@ -125,7 +125,6 @@ fn main() {
             transient_ppm: 3_000,
             dead_ppm: 300,
             max_faults: 12,
-            spot_check_interval: 16,
         },
         max_retries: 4,
         retry_backoff_cycles: 2_000,
@@ -148,8 +147,8 @@ fn main() {
         f.injected_dead
     );
     println!(
-        "detections              : {} parity + {} golden + {} scrub, {} attributed",
-        f.detected_parity, f.detected_golden, f.detected_scrub, f.faults_attributed
+        "detections              : {} parity + {} scrub, {} attributed",
+        f.detected_parity, f.detected_scrub, f.faults_attributed
     );
     println!(
         "healing                 : {} blocks quarantined, {} remapped, {} spares left",

@@ -167,14 +167,21 @@ impl Cluster {
     /// # Errors
     ///
     /// [`FaultApiError::NoFaultPolicy`] when the engines were built
-    /// without a fault policy (nothing to inject into).
+    /// without a fault policy (nothing to inject into), and
+    /// [`FaultApiError::OutOfRange`] when `machine` is not in the fleet
+    /// or the engine rejects `chain` or `kind`
+    /// ([`cape_engine::Engine::inject_fault`]).
     pub fn strike(
         &mut self,
         machine: usize,
         chain: usize,
         kind: FaultKind,
     ) -> Result<(), FaultApiError> {
-        self.machines[machine].engine.inject_fault(chain, kind)
+        self.machines
+            .get_mut(machine)
+            .ok_or(FaultApiError::OutOfRange)?
+            .engine
+            .inject_fault(chain, kind)
     }
 
     /// Re-admits a repaired machine onto the probation ladder: models a

@@ -143,8 +143,7 @@ impl HealthMonitor {
     /// while any dirty window demotes straight to `Quarantined` (the
     /// repair credit is already spent, so that is final).
     pub fn observe(&mut self, probe: &HealthProbe) -> HealthState {
-        let strikes =
-            probe.fault.detected_parity + probe.fault.detected_golden + probe.fault.detected_scrub;
+        let strikes = probe.fault.detected_parity + probe.fault.detected_scrub;
         let new_strikes = strikes.saturating_sub(self.last_strikes);
         let new_retries = probe.retries.saturating_sub(self.last_retries);
         self.last_strikes = strikes;

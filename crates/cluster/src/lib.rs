@@ -196,6 +196,43 @@ halt"
     }
 
     #[test]
+    fn out_of_range_strikes_are_typed_errors_and_the_fleet_still_serves() {
+        let mut c = Cluster::new(ClusterConfig::new(
+            2,
+            EngineConfig {
+                fault: Some(FaultPolicy::quiescent()),
+                ..EngineConfig::new(CapeConfig::tiny(2))
+            },
+        ));
+        let stuck = FaultKind::StuckAt {
+            lane: 0,
+            subarray: 0,
+            row: 36,
+            mask: 1,
+            value: true,
+        };
+        for (machine, chain, kind) in [
+            (2, 0, FaultKind::DeadBlock),
+            (usize::MAX, 0, FaultKind::DeadBlock),
+            (0, 2, FaultKind::DeadBlock),
+            (1, 0, stuck),
+        ] {
+            assert_eq!(
+                c.strike(machine, chain, kind),
+                Err(FaultApiError::OutOfRange),
+                "machine {machine}, chain {chain}, {kind:?}"
+            );
+        }
+        let id = c.submit(add_job(16, 5)).unwrap();
+        let report = c.run();
+        assert_eq!(report.completed(), 1);
+        assert_eq!(
+            c.memory(id).unwrap().read_u32_slice(0x4000, 16),
+            (0..16).map(|i| (i * 5 + 1) * 2).collect::<Vec<u32>>()
+        );
+    }
+
+    #[test]
     fn degraded_machine_drains_and_its_jobs_complete_elsewhere() {
         let mut c = Cluster::new(ClusterConfig::new(
             2,

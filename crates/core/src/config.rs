@@ -95,12 +95,12 @@ impl CapeConfig {
 /// compares the *deltas* — new detections, new retries — plus the
 /// absolute spare-block inventory against these thresholds to classify
 /// the machine Healthy → Degraded → Quarantined. The defaults are sized
-/// for the storm rates of `FaultConfig::seeded`: a handful of remapped
-/// transients is normal wear, a burst of strikes or a near-empty spare
-/// pool is not.
+/// for storms of a few thousand ppm per broadcast, like the
+/// `fault_storm` gate's: a handful of remapped transients is normal
+/// wear, a burst of strikes or a near-empty spare pool is not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HealthThresholds {
-    /// Fault detections (parity + golden + scrub) within one health
+    /// Fault detections (parity + scrub) within one health
     /// window at or above this mark the machine Degraded — it still
     /// computes correctly (checkpointed retry heals the jobs) but it is
     /// burning retries and spares, so new work should route elsewhere.

@@ -61,10 +61,9 @@ pub struct MachineContext {
 /// Unlike [`CapeMachine::run`], which resets counters per run, slice
 /// scheduling needs *delta* attribution: take one snapshot before a
 /// slice and one after, and [`MachineCounters::since`] yields the
-/// slice's own share of energy, traffic and cache activity.
-///
-/// Not `Copy`: the embedded [`FaultStats`] carries per-spare remap
-/// counts.
+/// slice's own share of energy, traffic and cache activity. Fault-layer
+/// counters are machine-wide, not per job: read them with
+/// [`CapeMachine::fault_stats`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MachineCounters {
     /// CSB dynamic energy in picojoules.
@@ -100,9 +99,6 @@ pub struct MachineCounters {
     pub dead_stores_eliminated: u64,
     /// CSB microops emitted.
     pub microops: MicroOpStats,
-    /// Hardware fault-injection activity (zero unless the fault layer is
-    /// armed via [`CapeMachine::enable_fault_injection`]).
-    pub fault: FaultStats,
 }
 
 impl MachineCounters {
@@ -123,16 +119,7 @@ impl MachineCounters {
         self.fused_joins_saved += delta.fused_joins_saved;
         self.window_flushes.accumulate(&delta.window_flushes);
         self.dead_stores_eliminated += delta.dead_stores_eliminated;
-        self.fault.accumulate(&delta.fault);
-        self.microops.searches_bs += delta.microops.searches_bs;
-        self.microops.searches_bp += delta.microops.searches_bp;
-        self.microops.updates_bs += delta.microops.updates_bs;
-        self.microops.updates_bp += delta.microops.updates_bp;
-        self.microops.updates_prop += delta.microops.updates_prop;
-        self.microops.reads += delta.microops.reads;
-        self.microops.writes += delta.microops.writes;
-        self.microops.reduces += delta.microops.reduces;
-        self.microops.tag_combines += delta.microops.tag_combines;
+        self.microops.merge(&delta.microops);
     }
 
     /// The activity between `earlier` and `self` (field-wise difference).
@@ -152,18 +139,7 @@ impl MachineCounters {
             fused_joins_saved: self.fused_joins_saved - earlier.fused_joins_saved,
             window_flushes: self.window_flushes.since(&earlier.window_flushes),
             dead_stores_eliminated: self.dead_stores_eliminated - earlier.dead_stores_eliminated,
-            fault: self.fault.since(&earlier.fault),
-            microops: MicroOpStats {
-                searches_bs: self.microops.searches_bs - earlier.microops.searches_bs,
-                searches_bp: self.microops.searches_bp - earlier.microops.searches_bp,
-                updates_bs: self.microops.updates_bs - earlier.microops.updates_bs,
-                updates_bp: self.microops.updates_bp - earlier.microops.updates_bp,
-                updates_prop: self.microops.updates_prop - earlier.microops.updates_prop,
-                reads: self.microops.reads - earlier.microops.reads,
-                writes: self.microops.writes - earlier.microops.writes,
-                reduces: self.microops.reduces - earlier.microops.reduces,
-                tag_combines: self.microops.tag_combines - earlier.microops.tag_combines,
-            },
+            microops: self.microops.since(&earlier.microops),
         }
     }
 }
@@ -479,16 +455,15 @@ impl CapeMachine {
             fused_joins_saved: self.fused_joins_saved,
             window_flushes: self.window_flushes,
             dead_stores_eliminated: self.dead_stores,
-            fault: self.csb.fault_stats(),
             microops: self.csb.stats(),
         }
     }
 
     /// Arms the CSB hardware fault layer: seeded injection of stuck-at
-    /// bits, transient flips and dead blocks, plus the parity/golden
-    /// detection tiers and spare-block remap machinery. With the layer
-    /// disarmed (the default) the machine pays a single branch per
-    /// vector broadcast.
+    /// bits, transient flips and dead blocks, plus per-row parity
+    /// detection, the scrub's march test and spare-block remap
+    /// machinery. With the layer disarmed (the default) the machine pays
+    /// a single branch per vector broadcast.
     pub fn enable_fault_injection(&mut self, config: FaultConfig) {
         self.csb.enable_fault_injection(config);
     }
@@ -508,9 +483,11 @@ impl CapeMachine {
         self.csb.pending_faults()
     }
 
-    /// Runs one parity scrub pass over every logical block (`None` when
-    /// the fault layer is disarmed). A scheduler calls this between
-    /// slices so stuck-at faults are caught even on idle blocks.
+    /// Runs one scrub pass (`None` when the fault layer is disarmed): it
+    /// drains the parity events injectors queued since the last scan and
+    /// march-tests for latent stuck-ats parity cannot see (see
+    /// [`Csb::scrub`]). A scheduler calls this between slices so no
+    /// fault stays undetected across a checkpoint.
     pub fn scrub(&mut self) -> Option<ScrubReport> {
         self.flush_window_as(FlushReason::Fault);
         self.csb.scrub()

@@ -31,7 +31,7 @@
 //! it.
 
 use crate::bitmat::transpose32;
-use crate::chain::{Chain, ChainState, META_ROWS};
+use crate::chain::Chain;
 use crate::geometry::{SUBARRAYS_PER_CHAIN, SUBARRAY_COLS};
 use crate::microop::{TagDest, TagMode};
 use crate::program::{PlanOp, PlanProbe, PlanWrite};
@@ -542,24 +542,6 @@ impl ChainBlock {
         }
     }
 
-    /// Packs lane `lane` into a [`ChainState`] — the same image
-    /// [`Chain::save_state`] produces, which [`ChainBlock::to_chain`]
-    /// unpacks into the scalar reference model.
-    pub fn save_state(&self, lane: usize) -> ChainState {
-        let mut state = ChainState::zeroed();
-        for r in 0..DATA_ROWS {
-            state.regs[r] = self.read_column_block(lane, r);
-        }
-        for s in 0..SUBARRAYS_PER_CHAIN {
-            for m in 0..META_ROWS {
-                state.meta[s][m] = self.rows[s][DATA_ROWS + m][lane];
-            }
-            state.tags[s] = self.tags[s][lane];
-            state.acc[s] = self.acc[s][lane];
-        }
-        state
-    }
-
     // ----- block images (context save/restore) ------------------------
 
     /// Appends the block image holding the rows in `rows` —
@@ -641,10 +623,18 @@ impl ChainBlock {
     }
 
     /// Materializes lane `lane` as a scalar [`Chain`] (reference-model
-    /// view; test/bring-up hook, not a hot path).
+    /// view; test/bring-up hook, not a hot path): copies the lane's word
+    /// of every row, tag and accumulator slice.
     pub fn to_chain(&self, lane: usize) -> Chain {
         let mut chain = Chain::new();
-        chain.load_state(&self.save_state(lane));
+        for (s, sub) in self.rows.iter().enumerate() {
+            let dst = chain.subarray_mut(s);
+            for (r, line) in sub.iter().enumerate() {
+                dst.write_row(r, line[lane], u32::MAX);
+            }
+            chain.set_tags(s, self.tags[s][lane]);
+            chain.set_acc(s, self.acc[s][lane]);
+        }
         chain
     }
 
@@ -1066,7 +1056,7 @@ mod tests {
             reloaded.load_image(&image, rows, rows);
             assert!(reloaded.parity_consistent(), "restore must fold parity");
             for (lane, chain) in chains.iter().enumerate() {
-                assert_eq!(block.save_state(lane), chain.save_state(), "lane {lane}");
+                assert_eq!(&block.to_chain(lane), chain, "lane {lane}");
                 assert_eq!(&reloaded.to_chain(lane), chain, "lane {lane} reload");
             }
         }

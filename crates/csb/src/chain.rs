@@ -3,50 +3,7 @@
 use crate::bitmat::transpose32;
 use crate::geometry::{SUBARRAYS_PER_CHAIN, SUBARRAY_COLS};
 use crate::microop::{ColSel, MicroOp, Probe, TagDest, TagMode, WriteSpec};
-use crate::subarray::{Subarray, DATA_ROWS, TOTAL_ROWS};
-
-/// Number of metadata rows per subarray (carry, flag, two scratch rows).
-pub(crate) const META_ROWS: usize = TOTAL_ROWS - DATA_ROWS;
-
-/// Full state of one chain, captured at a microprogram sync point:
-/// the 32 vector registers in lane-major element form (moved through the
-/// bulk 32×32 transpose path), the per-subarray metadata rows, and the
-/// tag/accumulator match registers.
-///
-/// Metadata rows and match registers are transient within one microop
-/// program, but they are captured anyway so a save/restore between any
-/// two sync points is unconditionally bit-exact — no assumption about
-/// which lowering initializes which row first. (A whole CSB saves its
-/// register file as block images instead; see [`CsbSnapshot`].)
-///
-/// [`CsbSnapshot`]: crate::CsbSnapshot
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChainState {
-    /// `regs[r][col]` is the element of vector register `r` at lane `col`.
-    pub(crate) regs: Box<[[u32; SUBARRAY_COLS]; DATA_ROWS]>,
-    /// `meta[s][m]` is metadata row `DATA_ROWS + m` of subarray `s`.
-    pub(crate) meta: Box<[[u32; META_ROWS]; SUBARRAYS_PER_CHAIN]>,
-    pub(crate) tags: [u32; SUBARRAYS_PER_CHAIN],
-    pub(crate) acc: [u32; SUBARRAYS_PER_CHAIN],
-}
-
-impl ChainState {
-    /// The all-zero chain state — what a freshly constructed chain holds.
-    pub fn zeroed() -> Self {
-        Self {
-            regs: Box::new([[0; SUBARRAY_COLS]; DATA_ROWS]),
-            meta: Box::new([[0; META_ROWS]; SUBARRAYS_PER_CHAIN]),
-            tags: [0; SUBARRAYS_PER_CHAIN],
-            acc: [0; SUBARRAYS_PER_CHAIN],
-        }
-    }
-}
-
-impl Default for ChainState {
-    fn default() -> Self {
-        Self::zeroed()
-    }
-}
+use crate::subarray::{Subarray, DATA_ROWS};
 
 /// A chain of 32 subarrays with per-subarray tag bits and accumulators.
 ///
@@ -123,40 +80,6 @@ impl Chain {
     /// hook; real programs set accumulators through searches).
     pub fn set_acc(&mut self, i: usize, acc: u32) {
         self.acc[i] = acc;
-    }
-
-    /// Captures the chain's full state. Vector registers move through the
-    /// bulk transpose path ([`Chain::read_column_block`]); metadata rows
-    /// and match registers are copied directly.
-    pub fn save_state(&self) -> ChainState {
-        let mut state = ChainState::zeroed();
-        for r in 0..DATA_ROWS {
-            state.regs[r] = self.read_column_block(r);
-        }
-        for (s, sub) in self.subarrays.iter().enumerate() {
-            for m in 0..META_ROWS {
-                state.meta[s][m] = sub.row(DATA_ROWS + m);
-            }
-        }
-        state.tags = self.tags;
-        state.acc = self.acc;
-        state
-    }
-
-    /// Restores the chain to a previously captured state — the inverse of
-    /// [`Chain::save_state`], using the bulk transpose path
-    /// ([`Chain::write_column_block`]) for the vector registers.
-    pub fn load_state(&mut self, state: &ChainState) {
-        for r in 0..DATA_ROWS {
-            self.write_column_block(r, &state.regs[r], u32::MAX);
-        }
-        for (s, sub) in self.subarrays.iter_mut().enumerate() {
-            for m in 0..META_ROWS {
-                sub.write_row(DATA_ROWS + m, state.meta[s][m], u32::MAX);
-            }
-        }
-        self.tags = state.tags;
-        self.acc = state.acc;
     }
 
     /// Executes one broadcast microop against this chain.

@@ -118,7 +118,7 @@ pub struct Csb {
     /// syscall).
     threads: usize,
     pool: WorkerPool,
-    /// Seeded fault injection + parity/golden detection. `None` (the
+    /// Seeded fault injection + parity/march detection. `None` (the
     /// default) costs one branch per broadcast — the PR 4 kernels run at
     /// full speed with injection disabled.
     fault: Option<Box<FaultLayer>>,
@@ -285,7 +285,7 @@ impl Csb {
             }
         }
         if let Some(f) = self.fault.as_deref_mut() {
-            f.post_broadcast(&mut self.shards, program.ops());
+            f.post_broadcast(&mut self.shards);
         }
         sums
     }
@@ -584,8 +584,10 @@ impl Csb {
     }
 
     /// Runs one scrub pass: re-asserts persistent faults (the silicon
-    /// does not wait for a broadcast) and parity-scans every unflagged
-    /// block. Returns `None` while injection is disabled.
+    /// does not wait for a broadcast), drains the parity dirty set (the
+    /// blocks injectors disturbed since the last drain, not every block)
+    /// and march-tests for latent persistent defects parity cannot see.
+    /// Returns `None` while injection is disabled.
     pub fn scrub(&mut self) -> Option<ScrubReport> {
         let f = self.fault.as_deref_mut()?;
         Some(f.scrub(&mut self.shards))
@@ -629,7 +631,8 @@ impl Csb {
     ///
     /// # Panics
     ///
-    /// Panics if the fault layer is not armed.
+    /// Panics if the fault layer is not armed, if chain `i` is out of
+    /// range, or if `kind` is not [`FaultKind::in_range`].
     pub fn inject_fault(&mut self, i: usize, kind: FaultKind) {
         let (s, j) = (i / self.shard_size, i % self.shard_size);
         let lb = j / BLOCK_LANES;
@@ -1212,33 +1215,81 @@ mod tests {
     }
 
     #[test]
-    fn golden_spot_check_catches_late_strike() {
-        let mut csb = Csb::new(CsbGeometry::new(4));
-        let mut config = FaultConfig::quiescent(1);
-        config.spot_check_interval = 1; // sample every program
-        csb.enable_fault_injection(config);
+    fn late_strike_is_caught_by_the_next_parity_scan() {
+        let mut csb = armed(4, 1);
         csb.write_vector(1, &[1u32; 128]);
-        csb.set_active_window(0, 128);
-        // Late transients land *after* the broadcast runs — only the
-        // golden replay (or the next scan's dirty-event drain) can see
-        // them. Strike every lane so whichever chain the seeded sampler
-        // picked is guaranteed to be corrupted.
-        for chain in 0..4 {
-            csb.inject_fault(
-                chain,
-                FaultKind::Transient {
-                    lane: chain as u8,
-                    subarray: 1,
-                    row: 1,
-                    mask: 0xF0F0,
-                    late: true,
-                },
-            );
-        }
+        // A late transient lands after its broadcast ran, so that
+        // broadcast's pre-run scan cannot see it; its dirty event waits
+        // for the next scan.
+        csb.inject_fault(
+            2,
+            FaultKind::Transient {
+                lane: 2,
+                subarray: 1,
+                row: 1,
+                mask: 0xF0F0,
+                late: true,
+            },
+        );
         csb.execute(&search1(0, 1, true));
+        assert_eq!(csb.pending_faults(), 0);
         let stats = csb.fault_stats();
-        assert_eq!(stats.detected_golden, 1, "{stats:?}");
+        assert_eq!(stats.injected_transient, 1, "the strike landed");
+        assert!(!stats.fully_accounted(), "{stats:?}");
+
+        let report = csb.scrub().unwrap();
+        assert_eq!(report.newly_flagged, 1);
+        assert_eq!(
+            csb.struck_rows(),
+            vec![StruckRow {
+                shard: 0,
+                block: 0,
+                subarray: 1,
+                row: 1,
+            }]
+        );
+        let stats = csb.fault_stats();
+        assert_eq!((stats.detected_parity, stats.detected_scrub), (1, 0));
         assert!(stats.fully_accounted(), "{stats:?}");
+    }
+
+    #[test]
+    fn march_scrub_finds_a_latent_stuck_at_parity_cannot_see() {
+        let mut csb = armed(4, 1);
+        csb.write_vector(1, &(0..128).collect::<Vec<u32>>());
+        // Stuck-at-0 cells in a row nothing ever writes: the forced value
+        // is what the cells already hold, so no parity event ever fires.
+        csb.inject_fault(
+            1,
+            FaultKind::StuckAt {
+                lane: 1,
+                subarray: 4,
+                row: 20,
+                mask: 0xFFFF,
+                value: false,
+            },
+        );
+        for _ in 0..4 {
+            csb.execute(&search1(0, 1, true));
+            csb.execute(&MicroOp::ReduceTags { subarray: 0 });
+            assert_eq!(csb.pending_faults(), 0, "parity saw a latent defect");
+        }
+        assert!(csb.parity_consistent());
+
+        let report = csb.scrub().unwrap();
+        assert_eq!(report.newly_flagged, 1);
+        let stats = csb.fault_stats();
+        assert_eq!((stats.detected_parity, stats.detected_scrub), (0, 1));
+        assert!(stats.fully_accounted(), "{stats:?}");
+        assert_eq!(
+            csb.struck_rows(),
+            vec![StruckRow {
+                shard: 0,
+                block: 0,
+                subarray: 4,
+                row: 20,
+            }]
+        );
     }
 
     #[test]

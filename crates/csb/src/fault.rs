@@ -1,11 +1,11 @@
-//! Deterministic fault injection and parity/golden-model detection.
+//! Deterministic fault injection and detection.
 //!
 //! CAPE computes inside SRAM sense amplifiers, so the realistic failure
 //! modes of a deployed engine are device faults: stuck-at bits in CSB
 //! subarray rows, transient single-shot flips, and whole-block death.
 //! This module injects those faults *deterministically* (seeded xorshift,
-//! no wall clock) at the block layer and detects them with two of the
-//! three tiers described in DESIGN.md §14–§15:
+//! no wall clock) at the block layer and detects them with the two
+//! in-array tiers described in DESIGN.md §14–§15:
 //!
 //! 1. **Incremental per-row parity** — every row-slice of every armed
 //!    block carries a parity word the *write path itself* maintains
@@ -17,21 +17,18 @@
 //!    row it disturbs. Detection is therefore an O(touched blocks)
 //!    dirty-event drain plus a one-word syndrome read, not a rescan of
 //!    every block, and a nonzero syndrome localizes to the exact struck
-//!    `(subarray, row)` coordinates.
-//! 2. **Golden-model spot checks** — every `spot_check_interval`
-//!    programs, one sampled chain is materialized as a scalar
-//!    [`Chain`](crate::Chain) before the broadcast and replayed through
-//!    the retained reference `Chain::execute` afterwards; a mismatch
-//!    flags the chain's block. This tier catches *mid-broadcast*
-//!    transients that strike after the pre-run parity scan.
+//!    `(subarray, row)` coordinates. The drain runs before every
+//!    broadcast and in every [`scrub`](crate::Csb::scrub), so a strike
+//!    that lands after a broadcast is caught by the next one.
+//! 2. **The march-test leg of a scrub** — explicit scrub passes write
+//!    and read back test patterns, finding *latent* persistent defects
+//!    (a stuck-at forcing the value the cells already hold, say in a row
+//!    nothing has written) that parity cannot see until real data
+//!    disturbs them. This is what makes the accounting invariant
+//!    (`FaultStats::fully_accounted`) hold at any scrub boundary.
 //!
-//! Explicit [`scrub`](crate::Csb::scrub) passes additionally run a
-//! march-test leg that finds *latent* persistent defects (a stuck-at
-//! forcing the value the cells already hold) which parity cannot see
-//! until real data disturbs them — this is what makes the accounting
-//! invariant (`FaultStats::fully_accounted`) hold at any scrub boundary.
-//!
-//! (The third tier, the slice-fuel watchdog, lives in `cape-cp`.)
+//! (The slice-fuel watchdog, which catches runaway control flow rather
+//! than bad bits, lives in `cape-cp`.)
 //!
 //! Detected blocks are latched as *pending* and stay pending until the
 //! CSB quarantines them and remaps their chains onto spare blocks
@@ -48,9 +45,10 @@
 //! per *program* (not per microop) and the shards run the parity-free
 //! kernel instantiation, so the PR 4 kernels keep full speed.
 
-use crate::chain::Chain;
-use crate::microop::MicroOp;
+use crate::block::BLOCK_LANES;
+use crate::geometry::SUBARRAYS_PER_CHAIN;
 use crate::pool::Shard;
+use crate::subarray::TOTAL_ROWS;
 
 /// What kind of device fault a `FaultRecord` models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +69,7 @@ pub enum FaultKind {
     },
     /// A single-shot bit flip (cosmic-ray style): applied once, either
     /// before the broadcast (caught by the pre-run parity scan) or after
-    /// it (a mid-broadcast strike, caught by the golden-model spot check
-    /// or the next parity scan).
+    /// it (a mid-broadcast strike, caught by the next parity scan).
     Transient {
         /// Lane within the block.
         lane: u8,
@@ -90,11 +87,37 @@ pub enum FaultKind {
     DeadBlock,
 }
 
+impl FaultKind {
+    /// True when the lane, subarray and row lie inside a block: lane
+    /// below [`BLOCK_LANES`], subarray below [`SUBARRAYS_PER_CHAIN`] and
+    /// row below [`TOTAL_ROWS`]. A dead block has no coordinate.
+    pub fn in_range(&self) -> bool {
+        match *self {
+            FaultKind::StuckAt {
+                lane,
+                subarray,
+                row,
+                ..
+            }
+            | FaultKind::Transient {
+                lane,
+                subarray,
+                row,
+                ..
+            } => {
+                usize::from(lane) < BLOCK_LANES
+                    && usize::from(subarray) < SUBARRAYS_PER_CHAIN
+                    && usize::from(row) < TOTAL_ROWS
+            }
+            FaultKind::DeadBlock => true,
+        }
+    }
+}
+
 /// Which detection tier latched a block as pending.
 #[derive(Debug, Clone, Copy)]
 enum DetectTier {
     Parity,
-    Golden,
     Scrub,
 }
 
@@ -107,7 +130,7 @@ struct FaultRecord {
     /// silicon, not the logical chain mapping).
     phys: u32,
     kind: FaultKind,
-    /// Set once a parity or golden detection flagged this block.
+    /// Set once a detection flagged this block.
     detected: bool,
     /// Set once the block is quarantined; the defect stops asserting
     /// because nothing maps onto it any more.
@@ -131,26 +154,9 @@ pub struct FaultConfig {
     pub dead_ppm: u32,
     /// Hard cap on total injected faults (bounds storm runtimes).
     pub max_faults: u32,
-    /// Replay one sampled chain through the scalar golden model every
-    /// this many programs (0 disables the tier).
-    pub spot_check_interval: u64,
 }
 
 impl FaultConfig {
-    /// A storm-friendly default: all three fault classes armed at a rate
-    /// that exercises detection and remap without drowning the machine.
-    pub fn seeded(seed: u64) -> Self {
-        Self {
-            seed,
-            spare_blocks_per_shard: 2,
-            stuck_ppm: 2_000,
-            transient_ppm: 4_000,
-            dead_ppm: 500,
-            max_faults: 32,
-            spot_check_interval: 16,
-        }
-    }
-
     /// Injection disarmed but detection machinery (per-row parity,
     /// scrub, spares) live — for tests that inject by hand.
     pub fn quiescent(spares: usize) -> Self {
@@ -161,7 +167,6 @@ impl FaultConfig {
             transient_ppm: 0,
             dead_ppm: 0,
             max_faults: 0,
-            spot_check_interval: 0,
         }
     }
 }
@@ -179,7 +184,9 @@ pub struct FaultStats {
     pub injected_dead: u64,
     /// Block-level parity mismatches latched.
     pub detected_parity: u64,
-    /// Golden-model replay mismatches latched.
+    /// Always zero: it counted the golden-model spot check, which is gone
+    /// because it never caught a fault parity or the march test missed.
+    /// The field stays only because the benchmark report still reads it.
     pub detected_golden: u64,
     /// Latent persistent defects found by scrub's march-test pass (a
     /// stuck-at forcing the value the cell already held is invisible to
@@ -211,48 +218,6 @@ impl FaultStats {
     pub fn fully_accounted(&self) -> bool {
         self.faults_attributed == self.injected_total()
     }
-
-    /// Sums another counter set into this one.
-    pub fn accumulate(&mut self, other: &FaultStats) {
-        self.injected_stuck += other.injected_stuck;
-        self.injected_transient += other.injected_transient;
-        self.injected_dead += other.injected_dead;
-        self.detected_parity += other.detected_parity;
-        self.detected_golden += other.detected_golden;
-        self.detected_scrub += other.detected_scrub;
-        self.faults_attributed += other.faults_attributed;
-        self.scrubs += other.scrubs;
-        self.blocks_quarantined += other.blocks_quarantined;
-        self.blocks_remapped += other.blocks_remapped;
-        if self.spare_remaps.len() < other.spare_remaps.len() {
-            self.spare_remaps.resize(other.spare_remaps.len(), 0);
-        }
-        for (a, b) in self.spare_remaps.iter_mut().zip(&other.spare_remaps) {
-            *a += b;
-        }
-    }
-
-    /// The counter deltas since an earlier capture of the same stream.
-    pub fn since(&self, earlier: &FaultStats) -> FaultStats {
-        FaultStats {
-            injected_stuck: self.injected_stuck - earlier.injected_stuck,
-            injected_transient: self.injected_transient - earlier.injected_transient,
-            injected_dead: self.injected_dead - earlier.injected_dead,
-            detected_parity: self.detected_parity - earlier.detected_parity,
-            detected_golden: self.detected_golden - earlier.detected_golden,
-            detected_scrub: self.detected_scrub - earlier.detected_scrub,
-            faults_attributed: self.faults_attributed - earlier.faults_attributed,
-            scrubs: self.scrubs - earlier.scrubs,
-            blocks_quarantined: self.blocks_quarantined - earlier.blocks_quarantined,
-            blocks_remapped: self.blocks_remapped - earlier.blocks_remapped,
-            spare_remaps: self
-                .spare_remaps
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| v - earlier.spare_remaps.get(i).copied().unwrap_or(0))
-                .collect(),
-        }
-    }
 }
 
 /// One strike localized by the per-row parity: which `(subarray, row)`
@@ -273,8 +238,6 @@ pub struct StruckRow {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[must_use = "a scrub report carries pending-fault state the caller must act on"]
 pub struct ScrubReport {
-    /// Logical blocks scanned.
-    pub scanned: usize,
     /// Blocks newly flagged by this pass.
     pub newly_flagged: usize,
     /// Total blocks pending quarantine after the pass.
@@ -299,16 +262,6 @@ impl RemapOutcome {
     }
 }
 
-/// A captured pre-broadcast golden sample: one chain materialized as the
-/// scalar reference model, to be replayed after the broadcast.
-#[derive(Debug, Clone)]
-struct GoldenSample {
-    shard: usize,
-    local: usize,
-    chain: Chain,
-    window: u32,
-}
-
 /// The seeded injector plus detection latches and counters. Lives as
 /// `Option<Box<FaultLayer>>` inside the CSB. The parity state itself
 /// lives *in the shards* (per-row words and per-block syndromes travel
@@ -318,7 +271,6 @@ struct GoldenSample {
 pub(crate) struct FaultLayer {
     config: FaultConfig,
     rng: u64,
-    programs: u64,
     /// Blocks latched by a detection, pending quarantine. A flagged
     /// block's corruption persists (parity mismatch travels with the
     /// data) until it is successfully remapped.
@@ -327,7 +279,6 @@ pub(crate) struct FaultLayer {
     faults: Vec<FaultRecord>,
     /// Transient strikes scheduled to land after the current broadcast.
     late_strikes: Vec<FaultRecord>,
-    sample: Option<GoldenSample>,
     /// Row-granular localization of every flagged strike, in detection
     /// order (bounded by `max_faults` × rows-per-strike).
     struck: Vec<StruckRow>,
@@ -349,12 +300,10 @@ impl FaultLayer {
         Self {
             config,
             rng: config.seed | 1,
-            programs: 0,
             flagged,
             pending: Vec::new(),
             faults: Vec::new(),
             late_strikes: Vec::new(),
-            sample: None,
             struck: Vec::new(),
             stats: FaultStats {
                 spare_remaps: vec![0; shards.len() * config.spare_blocks_per_shard],
@@ -407,26 +356,61 @@ impl FaultLayer {
     }
 
     /// Pre-broadcast hook: maybe register new faults, re-assert the
-    /// persistent ones, drain the parity dirty set, and capture a golden
-    /// sample for the post-broadcast replay. In the steady fault-free
-    /// state the drain is empty, so this is O(registered faults) — not
-    /// O(blocks).
+    /// persistent ones and drain the parity dirty set. In the steady
+    /// fault-free state the drain is empty, so this is O(registered
+    /// faults) — not O(blocks).
     pub fn pre_broadcast(&mut self, shards: &mut [Shard]) {
         self.maybe_inject(shards);
         self.assert_persistent(shards);
         self.scan(shards);
-        self.maybe_capture_sample(shards);
     }
 
-    /// Post-broadcast hook: land late transient strikes, then replay the
-    /// golden sample last so it can see a just-landed strike immediately
-    /// (the strike's dirty event feeds the next scan regardless). No
-    /// baseline refresh exists any more — the kernels maintained parity
-    /// in place during the broadcast.
-    pub fn post_broadcast(&mut self, shards: &mut [Shard], ops: &[MicroOp]) {
-        self.programs += 1;
-        self.land_late_strikes(shards);
-        self.golden_replay(shards, ops);
+    /// Post-broadcast hook: lands the late transient strikes. Each one
+    /// queues a parity dirty event, so the next scan — before the next
+    /// broadcast or in the next scrub — flags it. No baseline refresh
+    /// exists: the kernels maintained parity in place during the
+    /// broadcast.
+    pub fn post_broadcast(&mut self, shards: &mut [Shard]) {
+        let strikes = std::mem::take(&mut self.late_strikes);
+        for rec in strikes {
+            let s = rec.shard as usize;
+            if let FaultKind::Transient {
+                lane,
+                subarray,
+                row,
+                mask,
+                ..
+            } = rec.kind
+            {
+                if let Some(lb) = shards[s].logical_of(rec.phys as usize) {
+                    shards[s].flip_bits_logical(
+                        lb,
+                        lane as usize,
+                        subarray as usize,
+                        row as usize,
+                        mask,
+                    );
+                    // The strike happened: it enters the ledger now (see
+                    // `inject_now` — scheduled-but-never-landed strikes
+                    // are not injections). A strike aimed at silicon
+                    // quarantined in the meantime hits nothing
+                    // observable and is dropped.
+                    self.stats.injected_transient += 1;
+                    let mut rec = rec;
+                    if self.flagged[s][lb] {
+                        // The block is already latched as pending —
+                        // its contents are condemned and will never be
+                        // re-absorbed, so the existing detection covers
+                        // this strike too. Without this, a strike on a
+                        // flagged block (which scans skip) would stay
+                        // unattributed forever.
+                        rec.detected = true;
+                        self.stats.faults_attributed += 1;
+                    }
+                    self.faults.push(rec);
+                }
+            }
+        }
     }
 
     /// Explicit scrub pass: re-assert persistent faults (the silicon
@@ -438,13 +422,13 @@ impl FaultLayer {
     /// forcing the value the cells already hold, or a dead block whose
     /// scramble happens to collide — that a pure parity compare cannot
     /// see until real data disturbs them. Transients are events, not
-    /// defects: they either manifested (parity/golden catches them) or
-    /// never happened, so the march pass skips them.
+    /// defects: they either manifested (parity catches them) or never
+    /// happened, so the march pass skips them.
     pub fn scrub(&mut self, shards: &mut [Shard]) -> ScrubReport {
         self.stats.scrubs += 1;
         self.assert_persistent(shards);
         let before = self.pending.len();
-        let scanned = self.scan(shards);
+        self.scan(shards);
         for i in 0..self.faults.len() {
             let f = self.faults[i];
             if f.dormant || f.detected || matches!(f.kind, FaultKind::Transient { .. }) {
@@ -470,7 +454,6 @@ impl FaultLayer {
             }
         }
         ScrubReport {
-            scanned,
             newly_flagged: self.pending.len() - before,
             pending: self.pending.len(),
         }
@@ -525,7 +508,7 @@ impl FaultLayer {
         match kind {
             FaultKind::StuckAt { .. } => self.stats.injected_stuck += 1,
             // A late strike only counts as injected once it actually
-            // lands (`land_late_strikes`) — one scheduled after the last
+            // lands (`post_broadcast`) — one scheduled after the last
             // broadcast of a run never happens, and an event that never
             // happened must not show up in the accounting ledger.
             FaultKind::Transient { late, .. } if !late => self.stats.injected_transient += 1,
@@ -588,9 +571,9 @@ impl FaultLayer {
             if self.flagged[s][lb] {
                 continue; // already dying; aim the storm at live silicon
             }
-            let lane = (self.next() % crate::block::BLOCK_LANES as u64) as u8;
-            let subarray = (self.next() % crate::geometry::SUBARRAYS_PER_CHAIN as u64) as u8;
-            let row = (self.next() % crate::subarray::TOTAL_ROWS as u64) as u8;
+            let lane = (self.next() % BLOCK_LANES as u64) as u8;
+            let subarray = (self.next() % SUBARRAYS_PER_CHAIN as u64) as u8;
+            let row = (self.next() % TOTAL_ROWS as u64) as u8;
             let mask = (self.next() as u32) | 1;
             let kind = match class {
                 0 => FaultKind::StuckAt {
@@ -658,13 +641,10 @@ impl FaultLayer {
     /// syndrome of each touched block — O(blocks injectors disturbed
     /// since the last drain), empty in the fault-free steady state.
     /// A nonzero syndrome latches the block pending and localizes the
-    /// strike to its mismatching rows. Returns the number of blocks
-    /// examined.
-    fn scan(&mut self, shards: &mut [Shard]) -> usize {
-        let mut examined = 0;
+    /// strike to its mismatching rows.
+    fn scan(&mut self, shards: &mut [Shard]) {
         for (s, shard) in shards.iter_mut().enumerate() {
             for phys in shard.drain_parity_events() {
-                examined += 1;
                 let phys = phys as usize;
                 if shard.syndrome_phys(phys) == 0 {
                     continue; // strike cancelled itself; nothing to see
@@ -680,7 +660,6 @@ impl FaultLayer {
                 self.flag(s, lb, phys, DetectTier::Parity, &rows);
             }
         }
-        examined
     }
 
     fn flag(&mut self, s: usize, lb: usize, phys: usize, tier: DetectTier, rows: &[(u8, u8)]) {
@@ -696,104 +675,12 @@ impl FaultLayer {
         }
         match tier {
             DetectTier::Parity => self.stats.detected_parity += 1,
-            DetectTier::Golden => self.stats.detected_golden += 1,
             DetectTier::Scrub => self.stats.detected_scrub += 1,
         }
         for f in &mut self.faults {
             if f.shard as usize == s && f.phys as usize == phys && !f.detected {
                 f.detected = true;
                 self.stats.faults_attributed += 1;
-            }
-        }
-    }
-
-    fn land_late_strikes(&mut self, shards: &mut [Shard]) {
-        let strikes = std::mem::take(&mut self.late_strikes);
-        for rec in strikes {
-            let s = rec.shard as usize;
-            if let FaultKind::Transient {
-                lane,
-                subarray,
-                row,
-                mask,
-                ..
-            } = rec.kind
-            {
-                if let Some(lb) = shards[s].logical_of(rec.phys as usize) {
-                    shards[s].flip_bits_logical(
-                        lb,
-                        lane as usize,
-                        subarray as usize,
-                        row as usize,
-                        mask,
-                    );
-                    // The strike happened: it enters the ledger now (see
-                    // `inject_now` — scheduled-but-never-landed strikes
-                    // are not injections). A strike aimed at silicon
-                    // quarantined in the meantime hits nothing
-                    // observable and is dropped.
-                    self.stats.injected_transient += 1;
-                    let mut rec = rec;
-                    if self.flagged[s][lb] {
-                        // The block is already latched as pending —
-                        // its contents are condemned and will never be
-                        // re-absorbed, so the existing detection covers
-                        // this strike too. Without this, a strike on a
-                        // flagged block (which scans skip) would stay
-                        // unattributed forever.
-                        rec.detected = true;
-                        self.stats.faults_attributed += 1;
-                    }
-                    self.faults.push(rec);
-                }
-            }
-        }
-    }
-
-    fn maybe_capture_sample(&mut self, shards: &[Shard]) {
-        let interval = self.config.spot_check_interval;
-        if interval == 0 || !self.programs.is_multiple_of(interval) {
-            self.sample = None;
-            return;
-        }
-        let total: usize = shards.iter().map(Shard::len).sum();
-        if total == 0 {
-            self.sample = None;
-            return;
-        }
-        let mut k = (self.next() % total as u64) as usize;
-        for (s, shard) in shards.iter().enumerate() {
-            if k < shard.len() {
-                self.sample = Some(GoldenSample {
-                    shard: s,
-                    local: k,
-                    chain: shard.chain(k),
-                    window: shard.window(k),
-                });
-                return;
-            }
-            k -= shard.len();
-        }
-    }
-
-    /// Replays the captured sample through the scalar golden model and
-    /// flags the chain's block on mismatch.
-    fn golden_replay(&mut self, shards: &[Shard], ops: &[MicroOp]) {
-        let Some(mut sample) = self.sample.take() else {
-            return;
-        };
-        if sample.window != 0 {
-            for op in ops {
-                sample.chain.execute(op, sample.window);
-            }
-        }
-        let shard = &shards[sample.shard];
-        if shard.chain(sample.local) != sample.chain {
-            let lb = sample.local / crate::block::BLOCK_LANES;
-            if !self.flagged[sample.shard][lb] {
-                let phys = shard.physical_of(lb);
-                let rows = shard.struck_rows_phys(phys);
-                self.flag(sample.shard, lb, phys, DetectTier::Golden, &rows);
             }
         }
     }

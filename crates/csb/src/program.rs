@@ -342,16 +342,16 @@ impl Liveness {
 /// A store whose every written lane is overwritten by a later store in
 /// the same window — with nothing reading the register in between —
 /// cannot affect final state, and final state is the only thing the
-/// next window (or the golden fault replay, which compares end states)
-/// can observe. Coverage is decidable statically because the active
-/// window cannot change inside a fused program (an effective `vsetvli`
-/// is a fusion barrier) and every store is confined to active lanes:
-/// `plan_write` masks tag/acc selectors with `win`, `PlanOp::Write`
-/// masks with `mask & win`, and tag/acc mutations (`Set` latch,
-/// `And`/`Or` blend) touch active lanes only. So a later `ColSel::Window`
-/// write (`sel == 0`) or a raw row write with a full mask covers *any*
-/// earlier write to the same `(subarray, row)`, and a later `Set`-mode
-/// match store or tag transfer covers earlier stores to its register.
+/// next window can observe. Coverage is decidable statically because
+/// the active window cannot change inside a fused program (an effective
+/// `vsetvli` is a fusion barrier) and every store is confined to active
+/// lanes: `plan_write` masks tag/acc selectors with `win`,
+/// `PlanOp::Write` masks with `mask & win`, and tag/acc mutations (`Set`
+/// latch, `And`/`Or` blend) touch active lanes only. So a later
+/// `ColSel::Window` write (`sel == 0`) or a raw row write with a full
+/// mask covers *any* earlier write to the same `(subarray, row)`, and a
+/// later `Set`-mode match store or tag transfer covers earlier stores to
+/// its register.
 ///
 /// Walks the plan backwards with a per-register "covered" latch; probe
 /// key rows, gate rows, `PlanOp::Read`s, tag/acc-selected writes,
@@ -667,7 +667,7 @@ impl MicroProgram {
     ///
     /// The *op* list is the unoptimized concatenation, so recorded
     /// [`MicroOpStats`] — and everything derived from them (modeled
-    /// cycles, energy, the golden fault replay) — are identical to
+    /// cycles and energy) — are identical to
     /// running the parts one at a time; only the host broadcast plan
     /// shrinks. The written-row mask comes from that op list too, so it
     /// still covers every row the (smaller) plan writes.

@@ -63,6 +63,10 @@ pub enum FaultApiError {
     /// layer is disarmed and there is nothing to inject into. A health
     /// prober treats this as "machine not probeable", not a crash.
     NoFaultPolicy,
+    /// A fault coordinate lies outside the target: a machine index past
+    /// the fleet, a chain past the machine's chains, or a lane, subarray
+    /// or row past the block geometry (see [`cape_core::FaultKind`]).
+    OutOfRange,
 }
 
 impl std::fmt::Display for FaultApiError {
@@ -74,6 +78,7 @@ impl std::fmt::Display for FaultApiError {
                     "the engine has no fault policy; the fault layer is disarmed"
                 )
             }
+            FaultApiError::OutOfRange => write!(f, "the fault coordinate is out of range"),
         }
     }
 }
@@ -139,17 +144,6 @@ pub struct FaultPolicy {
 }
 
 impl FaultPolicy {
-    /// A policy with seeded random injection and paper-plausible retry
-    /// bounds: 3 retries, 2,000-cycle backoff, 200k-instruction fuel.
-    pub fn seeded(seed: u64) -> Self {
-        Self {
-            csb: FaultConfig::seeded(seed),
-            max_retries: 3,
-            retry_backoff_cycles: 2_000,
-            slice_fuel: 200_000,
-        }
-    }
-
     /// Detection, scrubbing and checkpointed retry armed, but no fault
     /// injection — the configuration for measuring clean-run overhead.
     pub fn quiescent() -> Self {
@@ -291,6 +285,9 @@ impl Engine {
     /// [`FaultApiError::NoFaultPolicy`] when the engine was built
     /// without a [`FaultPolicy`] — the fault layer is disarmed, so there
     /// is no injection machinery to plant the fault into.
+    /// [`FaultApiError::OutOfRange`] when `chain` is not one of the
+    /// machine's chains or `kind` names a lane, subarray or row outside a
+    /// block.
     pub fn inject_fault(
         &mut self,
         chain: usize,
@@ -298,6 +295,9 @@ impl Engine {
     ) -> Result<(), FaultApiError> {
         if !self.machine.fault_injection_enabled() {
             return Err(FaultApiError::NoFaultPolicy);
+        }
+        if chain >= self.config.machine.chains || !kind.in_range() {
+            return Err(FaultApiError::OutOfRange);
         }
         self.machine.inject_csb_fault(chain, kind);
         Ok(())
@@ -574,12 +574,10 @@ impl Engine {
             self.now += job.cp.stats().cycles - cycles_before;
             job.slices += 1;
 
-            // Detection before checkpoint. The parity/golden tiers ran
-            // inside the slice's broadcasts; the scrub sweeps every
-            // block (idle ones included) so nothing latches late.
-            if let Some(report) = self.machine.scrub() {
-                let _ = report;
-            }
+            // Detection before checkpoint. Parity ran before each of the
+            // slice's broadcasts; the scrub drains the strikes that landed
+            // after the last one and march-tests for latent stuck-ats.
+            let _ = self.machine.scrub();
             let corrupted = self.machine.pending_faults() > 0;
             if corrupted {
                 let remap = self.machine.quarantine_and_remap();
@@ -1069,6 +1067,55 @@ halt"
             ..EngineConfig::new(cape_core::CapeConfig::tiny(2))
         });
         assert_eq!(e.inject_fault(0, cape_core::FaultKind::DeadBlock), Ok(()));
+    }
+
+    #[test]
+    fn out_of_range_fault_coordinates_are_typed_errors_not_panics() {
+        use cape_core::FaultKind;
+        let mut e = Engine::new(EngineConfig {
+            fault: Some(FaultPolicy::quiescent()),
+            ..EngineConfig::new(cape_core::CapeConfig::tiny(2))
+        });
+        let stuck = |lane, subarray, row| FaultKind::StuckAt {
+            lane,
+            subarray,
+            row,
+            mask: 1,
+            value: false,
+        };
+        let late = |lane, subarray, row| FaultKind::Transient {
+            lane,
+            subarray,
+            row,
+            mask: 1,
+            late: true,
+        };
+        for (chain, kind) in [
+            (2, FaultKind::DeadBlock),
+            (usize::MAX, FaultKind::DeadBlock),
+            (0, stuck(16, 0, 0)),
+            (0, stuck(200, 0, 0)),
+            (0, stuck(0, 32, 0)),
+            (0, stuck(0, 0, 36)),
+            (1, late(16, 0, 0)),
+            (1, late(0, 32, 0)),
+            (1, late(0, 0, 36)),
+        ] {
+            assert_eq!(
+                e.inject_fault(chain, kind),
+                Err(FaultApiError::OutOfRange),
+                "chain {chain}, {kind:?}"
+            );
+        }
+        // Nothing was planted, and the machine still serves a job.
+        let id = e.submit(add_job(16, 3)).unwrap();
+        let report = e.run();
+        assert!(e.job_report(id).unwrap().succeeded());
+        let out = e.memory(id).unwrap().read_u32_slice(0x4000, 16);
+        assert_eq!(out, (0..16).map(|i| (i * 3 + 1) * 2).collect::<Vec<u32>>());
+        assert_eq!(report.fault.injected_total(), 0);
+        // The last coordinate of each range is accepted.
+        assert_eq!(e.inject_fault(1, stuck(15, 31, 35)), Ok(()));
     }
 
     #[test]

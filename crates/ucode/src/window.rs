@@ -213,7 +213,7 @@ mod tests {
         );
         assert!(fused.program().dead_stores() > 0, "the win is measurable");
         // The *op* list stays the unoptimized concatenation so recorded
-        // stats (cycles, energy, golden replay) match per-op execution.
+        // stats (cycles, energy) match per-op execution.
         assert_eq!(
             fused.program().len(),
             parts.iter().map(|p| p.program().len()).sum::<usize>()

@@ -10,7 +10,7 @@
 //! tail strips, a context switch landing mid-window, and fault-mode
 //! execution with the parity machinery armed.
 
-use cape_core::{CapeConfig, CapeMachine, FaultConfig, MachineCounters, RunReport};
+use cape_core::{CapeConfig, CapeMachine, FaultConfig, FaultStats, MachineCounters, RunReport};
 use cape_cp::SliceOutcome;
 use cape_isa::{Program, Reg, Sew, VAluOp, VReg};
 use cape_mem::MainMemory;
@@ -264,7 +264,6 @@ fn assert_counters_identical(fused: &MachineCounters, plain: &MachineCounters, w
         "{what}: hbm writes"
     );
     assert_eq!(fused.microops, plain.microops, "{what}: microop ledger");
-    assert_eq!(fused.fault, plain.fault, "{what}: fault counters");
     assert!(
         (fused.energy_pj - plain.energy_pj).abs() <= 1e-12 * plain.energy_pj.abs().max(1.0),
         "{what}: energy"
@@ -275,7 +274,7 @@ fn assert_counters_identical(fused: &MachineCounters, plain: &MachineCounters, w
 /// enough that every preemption lands *inside* an open fusion window:
 /// the context switch must flush the window and the result must still
 /// be bit-identical to the per-op machine doing the same dance.
-fn run_interleaved(fusion_window: usize, n: usize) -> (Vec<Vec<u32>>, MachineCounters) {
+fn run_interleaved(fusion_window: usize, n: usize) -> (Vec<Vec<u32>>, MachineCounters, FaultStats) {
     let mut machine = CapeMachine::new(config(fusion_window));
     let programs = [all_ops_program(Sew::E32, n), all_ops_program(Sew::E16, n)];
     let mut mems = [memory(n), memory(n)];
@@ -308,16 +307,17 @@ fn run_interleaved(fusion_window: usize, n: usize) -> (Vec<Vec<u32>>, MachineCou
             region
         })
         .collect();
-    (outputs, machine.counters())
+    (outputs, machine.counters(), machine.fault_stats())
 }
 
 #[test]
 fn context_switch_mid_window_flushes_and_stays_bit_identical() {
     let n = 97;
-    let (fused_out, fused) = run_interleaved(32, n);
-    let (plain_out, plain) = run_interleaved(1, n);
+    let (fused_out, fused, fused_faults) = run_interleaved(32, n);
+    let (plain_out, plain, plain_faults) = run_interleaved(1, n);
     assert_eq!(fused_out, plain_out, "sliced outputs diverged");
     assert_counters_identical(&fused, &plain, "sliced");
+    assert_eq!(fused_faults, plain_faults, "sliced: fault counters");
     // A 3-op slice budget means windows are cut by preemption, so
     // fusion still forms (small) windows.
     assert!(fused.fused_windows > 0, "preempted windows still fuse");
@@ -333,15 +333,14 @@ fn fault_mode_with_parity_armed_is_bit_identical() {
         machine.enable_fault_injection(FaultConfig::quiescent(2));
         let mut mem = memory(n);
         let report = machine.run(&program, &mut mem).expect("runs");
-        let counters = machine.counters();
-        (mem, report, counters)
+        (mem, report, machine.fault_stats())
     };
-    let (fused_mem, fused, fused_counters) = run(32);
-    let (plain_mem, plain, plain_counters) = run(1);
+    let (fused_mem, fused, fused_faults) = run(32);
+    let (plain_mem, plain, plain_faults) = run(1);
     assert_reports_identical(&fused, &plain, "fault mode");
     assert_memories_identical(&fused_mem, &plain_mem, n, "fault mode");
     assert_eq!(
-        fused_counters.fault, plain_counters.fault,
+        fused_faults, plain_faults,
         "parity machinery saw identical traffic"
     );
     assert!(fused.fused_windows > 0);

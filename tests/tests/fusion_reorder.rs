@@ -8,7 +8,7 @@
 //! mid-window context switch and with the fault layer's parity
 //! machinery armed.
 
-use cape_core::{CapeConfig, CapeMachine, FaultConfig, MachineCounters, RunReport};
+use cape_core::{CapeConfig, CapeMachine, FaultConfig, FaultStats, MachineCounters, RunReport};
 use cape_cp::SliceOutcome;
 use cape_isa::{Program, Reg, Sew, VAluOp, VReg};
 use cape_mem::MainMemory;
@@ -191,14 +191,14 @@ fn run_full(
     program: &Program,
     n: usize,
     faults: bool,
-) -> (Vec<u32>, RunReport, MachineCounters) {
+) -> (Vec<u32>, RunReport, FaultStats) {
     let mut machine = CapeMachine::new(config(fusion_window));
     if faults {
         machine.enable_fault_injection(FaultConfig::quiescent(2));
     }
     let mut mem = memory(n);
     let report = machine.run(program, &mut mem).expect("runs");
-    (outputs(&mem, n), report, machine.counters())
+    (outputs(&mem, n), report, machine.fault_stats())
 }
 
 /// Interleaves the program with itself under a 3-op vector budget so
@@ -295,13 +295,13 @@ proptest! {
         n in 1usize..=96,
     ) {
         let program = build_program(&body, n);
-        let (plain_out, plain, plain_counters) = run_full(1, &program, n, true);
-        let (fused_out, fused, fused_counters) = run_full(32, &program, n, true);
+        let (plain_out, plain, plain_faults) = run_full(1, &program, n, true);
+        let (fused_out, fused, fused_faults) = run_full(32, &program, n, true);
         assert_reports_identical(&fused, &plain, "fault mode");
         prop_assert_eq!(&fused_out, &plain_out, "fault-mode outputs");
         prop_assert_eq!(
-            fused_counters.fault,
-            plain_counters.fault,
+            fused_faults,
+            plain_faults,
             "parity machinery saw identical traffic"
         );
     }
