@@ -120,7 +120,7 @@ fn main() {
     let storm_policy = FaultPolicy {
         csb: FaultConfig {
             seed: STORM_SEED,
-            spare_blocks_per_shard: 16,
+            spare_blocks: 16,
             stuck_ppm: 1_500,
             transient_ppm: 3_000,
             dead_ppm: 300,

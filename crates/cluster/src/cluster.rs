@@ -185,8 +185,9 @@ impl Cluster {
     }
 
     /// Re-admits a repaired machine onto the probation ladder: models a
-    /// field service that installs `spares_per_shard` fresh spare
-    /// blocks, remaps every still-pending faulty block onto them
+    /// field service that installs `spares` fresh spare blocks for the
+    /// machine's whole CSB (a count that does not depend on the host's
+    /// thread count), remaps every still-pending faulty block onto them
     /// ([`cape_engine::Engine::service_spares`]), and moves the health
     /// monitor `Quarantined → Probation`. The machine receives no new
     /// work yet — it must post `probation_clean_windows` consecutive
@@ -197,12 +198,12 @@ impl Cluster {
     /// Returns whether the machine was eligible: `false` when it is not
     /// quarantined, its repair credit is already spent, or the
     /// replenished spares still cannot absorb its pending faults.
-    pub fn readmit(&mut self, machine: usize, spares_per_shard: usize) -> bool {
+    pub fn readmit(&mut self, machine: usize, spares: usize) -> bool {
         let m = &mut self.machines[machine];
         if m.health.state() != HealthState::Quarantined {
             return false;
         }
-        let _ = m.engine.service_spares(spares_per_shard);
+        let _ = m.engine.service_spares(spares);
         if m.engine.machine().pending_faults() > 0 || !m.health.mark_repaired() {
             return false;
         }

@@ -260,14 +260,13 @@ impl CapeMachine {
     /// exceeds the configured instruction budget.
     pub fn run(&mut self, program: &Program, mem: &mut MainMemory) -> Result<RunReport, CpError> {
         self.reset_counters();
-        // The cache itself stays warm across runs; the report counts this
-        // run's lookups only.
-        let (hits0, misses0) = (self.program_cache.hits(), self.program_cache.misses());
+        // The program cache and the fusion counters are not reset (the
+        // cache stays warm across runs); the report counts this run's
+        // activity only.
+        let start = self.counters();
         let mut cp = ControlProcessor::new(self.config.mem_latency_cycles);
         let max = self.config.max_instructions;
         // Split borrow: the CP drives `self` as the coprocessor.
-        let (fw0, fo0, fj0) = (self.fused_windows, self.fused_ops, self.fused_joins_saved);
-        let (wf0, ds0) = (self.window_flushes, self.dead_stores);
         let cp_result = {
             let this: &mut CapeMachine = self;
             let mut driver = MachineCoprocessor { machine: this };
@@ -277,25 +276,11 @@ impl CapeMachine {
         // CSB its deferred broadcasts; normal exits drained via the CP.
         self.flush_window();
         let cp_stats = cp_result?;
-        Ok(RunReport {
-            cycles: cp_stats.cycles,
-            freq_ghz: self.config.freq_ghz,
-            cp: cp_stats,
-            microops: self.csb.stats(),
-            csb_energy_uj: self.energy_pj / 1e6,
-            hbm_bytes_read: self.hbm.bytes_read(),
-            hbm_bytes_written: self.hbm.bytes_written(),
-            lane_ops: self.lane_ops,
-            vmu_cycles: self.vmu_cycles,
-            vcu_cycles: self.vcu_cycles,
-            program_cache_hits: self.program_cache.hits() - hits0,
-            program_cache_misses: self.program_cache.misses() - misses0,
-            fused_windows: self.fused_windows - fw0,
-            fused_ops: self.fused_ops - fo0,
-            fused_joins_saved: self.fused_joins_saved - fj0,
-            window_flushes: self.window_flushes.since(&wf0),
-            dead_stores_eliminated: self.dead_stores - ds0,
-        })
+        Ok(RunReport::new(
+            cp_stats,
+            self.config.freq_ghz,
+            &self.counters().since(&start),
+        ))
     }
 
     /// Arms a one-shot page fault at `elem` for the next vector memory
@@ -501,16 +486,16 @@ impl CapeMachine {
         self.csb.quarantine_and_remap()
     }
 
-    /// Installs `per_shard` fresh spare blocks in every shard and re-runs
+    /// Installs `spares` fresh spare blocks for the whole CSB and re-runs
     /// quarantine-and-remap — the in-simulation model of a field repair
     /// (a technician re-racking spare capacity). Returns the remap
     /// outcome; on success the machine has no pending faults and a
     /// replenished spare inventory, the precondition for a fleet
     /// scheduler to re-admit it. A no-op returning the default outcome
     /// when the fault layer is disarmed.
-    pub fn service_spares(&mut self, per_shard: usize) -> RemapOutcome {
+    pub fn service_spares(&mut self, spares: usize) -> RemapOutcome {
         self.flush_window_as(FlushReason::Fault);
-        self.csb.service_spares(per_shard)
+        self.csb.service_spares(spares)
     }
 
     /// Injects one fault at chain `i` (testing hook; requires the fault
@@ -519,12 +504,12 @@ impl CapeMachine {
         self.csb.inject_fault(chain, kind);
     }
 
-    /// Spare physical blocks still available across all shards.
+    /// Spare blocks still available to the CSB.
     pub fn spare_blocks_free(&self) -> usize {
         self.csb.spare_blocks_free()
     }
 
-    /// Physical blocks quarantined so far.
+    /// Blocks quarantined so far.
     pub fn quarantined_blocks(&self) -> usize {
         self.csb.quarantined_blocks()
     }

@@ -4,6 +4,8 @@ use cape_cp::CpStats;
 use cape_csb::MicroOpStats;
 use serde::{Deserialize, Serialize};
 
+use crate::machine::MachineCounters;
+
 /// Fusion-window flushes broken down by cause.
 ///
 /// Every counter is "windows of buffered vector ops committed to the CSB
@@ -121,6 +123,30 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The report of a run whose control processor finished with `cp`
+    /// at `freq_ghz` while the machine did the work in `counters`.
+    pub fn new(cp: CpStats, freq_ghz: f64, counters: &MachineCounters) -> Self {
+        Self {
+            cycles: cp.cycles,
+            freq_ghz,
+            cp,
+            microops: counters.microops,
+            csb_energy_uj: counters.energy_pj / 1e6,
+            hbm_bytes_read: counters.hbm_bytes_read,
+            hbm_bytes_written: counters.hbm_bytes_written,
+            lane_ops: counters.lane_ops,
+            vmu_cycles: counters.vmu_cycles,
+            vcu_cycles: counters.vcu_cycles,
+            program_cache_hits: counters.cache_hits,
+            program_cache_misses: counters.cache_misses,
+            fused_windows: counters.fused_windows,
+            fused_ops: counters.fused_ops,
+            fused_joins_saved: counters.fused_joins_saved,
+            window_flushes: counters.window_flushes,
+            dead_stores_eliminated: counters.dead_stores_eliminated,
+        }
+    }
+
     /// Wall-clock time in milliseconds.
     pub fn time_ms(&self) -> f64 {
         self.cycles as f64 / (self.freq_ghz * 1e6)

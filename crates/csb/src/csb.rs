@@ -11,20 +11,19 @@ use crate::geometry::{CsbGeometry, ElementLocation, SUBARRAY_COLS};
 use crate::microop::MicroOp;
 use crate::pool::{Shard, WorkerPool};
 use crate::program::MicroProgram;
-use crate::reduction::ReductionTree;
 use crate::stats::MicroOpStats;
 use crate::subarray::DATA_ROWS;
 
 /// A captured register-file image of a whole CSB, taken at a
 /// microprogram sync point. It records a row mask — the row indices the
-/// CSB's live-row mask held at the save — and, for every logical block in
-/// logical block order, the masked row-slices of each subarray in row
-/// order, then the tag slices and accumulator slices. Every row outside
+/// CSB's live-row mask held at the save — and, for every block in block
+/// order, the masked row-slices of each subarray in row order, then the
+/// tag slices and accumulator slices. Every row outside
 /// the mask was zero at the save, so the image is the whole register
 /// file: a context switch copies only the rows a tenant has written. The
-/// image is a straight copy of the SoA block storage, so it depends on
-/// neither the shard split nor which spare blocks back a remapped chain,
-/// and padding lanes are stored as zero.
+/// image is a straight copy of the SoA block storage in block order, so
+/// it does not depend on the shard split, and padding lanes are stored
+/// as zero.
 ///
 /// The image is reference-counted, so cloning a snapshot (e.g. to keep
 /// one resident image per tenant in a scheduler) is cheap. A
@@ -59,7 +58,7 @@ impl CsbSnapshot {
         self.num_chains
     }
 
-    /// The image of logical block `b` ([`ZERO_IMAGE`] when unmaterialized).
+    /// The image of block `b` ([`ZERO_IMAGE`] when unmaterialized).
     fn block(&self, b: usize) -> &[u32] {
         let words = image_words(self.rows);
         self.image
@@ -110,7 +109,6 @@ pub struct Csb {
     /// Chains whose window mask is non-zero (fully-masked chains are
     /// power-gated and skipped, Section V-F).
     active_count: usize,
-    tree: ReductionTree,
     vstart: usize,
     vl: usize,
     stats: MicroOpStats,
@@ -123,11 +121,11 @@ pub struct Csb {
     /// full speed with injection disabled.
     fault: Option<Box<FaultLayer>>,
     /// Live-row mask over the row indices: a row whose bit is clear is
-    /// zero in every subarray and lane of every logical block. Broadcasts
-    /// and data transfers OR in the rows they write, and a restore sets
-    /// it to the snapshot's rows, so a context switch copies only these.
+    /// zero in every subarray and lane of every block. Broadcasts and
+    /// data transfers OR in the rows they write, and a restore sets it
+    /// to the snapshot's rows, so a context switch copies only these.
     /// While the fault layer is armed every row counts as live
-    /// ([`Csb::live_rows`]): injectors and remaps write rows it cannot see.
+    /// ([`Csb::live_rows`]): injectors write rows it cannot see.
     live_rows: u64,
 }
 
@@ -151,7 +149,6 @@ impl Csb {
             shards,
             shard_size,
             active_count: n,
-            tree: ReductionTree::new(n),
             vstart: 0,
             vl: geometry.max_vl(),
             stats: MicroOpStats::new(),
@@ -182,11 +179,6 @@ impl Csb {
     /// Current vector start index.
     pub fn vstart(&self) -> usize {
         self.vstart
-    }
-
-    /// The global reduction tree model.
-    pub fn reduction_tree(&self) -> ReductionTree {
-        self.tree
     }
 
     /// Reconfigures the active window. Chain controllers locally compute
@@ -260,9 +252,7 @@ impl Csb {
     /// thread fan-out/fan-in and the reduction-tree sum happen once per
     /// program.
     pub fn execute_program(&mut self, program: &MicroProgram) -> Vec<u64> {
-        for op in program.ops() {
-            self.record(op);
-        }
+        self.stats.merge(&program.stats());
         if program.is_empty() {
             return Vec::new();
         }
@@ -288,11 +278,6 @@ impl Csb {
             f.post_broadcast(&mut self.shards);
         }
         sums
-    }
-
-    fn record(&mut self, op: &MicroOp) {
-        let (kind, bp) = op.classify();
-        self.stats.record(kind, bp);
     }
 
     /// Accumulated microop statistics.
@@ -477,8 +462,8 @@ impl Csb {
     }
 
     /// The live-row mask: every row index while the fault layer is armed
-    /// (injectors, stuck-at re-assertion and remap copies write rows the
-    /// mask cannot see), the tracked mask otherwise.
+    /// (injectors and stuck-at re-assertion write rows the mask cannot
+    /// see), the tracked mask otherwise.
     fn live_rows(&self) -> u64 {
         if self.fault.is_some() {
             ALL_ROWS
@@ -489,8 +474,8 @@ impl Csb {
 
     /// Captures the register-file image of every chain — vector
     /// registers, metadata rows and match registers — as straight copies
-    /// of each logical block's live row-slices and its tag and
-    /// accumulator slices into one pre-sized allocation. Only the rows in
+    /// of each block's live row-slices and its tag and accumulator
+    /// slices into one pre-sized allocation. Only the rows in
     /// the live-row mask are copied: every other row is zero, and the
     /// snapshot records the mask so a restore reads them back as zero.
     /// With the fault layer armed every row is live and the image is the
@@ -551,15 +536,12 @@ impl Csb {
     // ---- fault injection, detection and recovery ----------------------
 
     /// Arms deterministic fault injection: provisions
-    /// `config.spare_blocks_per_shard` spare blocks per shard and arms
+    /// `config.spare_blocks` spare blocks for the whole CSB and arms
     /// incremental per-row parity over the current (assumed clean) state
     /// — the one full parity-rebuild pass, paid here and never on the
     /// broadcast path. See the `fault` module docs for the detection
     /// tiers and recovery invariants.
     pub fn enable_fault_injection(&mut self, config: FaultConfig) {
-        for shard in &mut self.shards {
-            shard.add_spares(config.spare_blocks_per_shard);
-        }
         self.fault = Some(Box::new(FaultLayer::new(config, &mut self.shards)));
     }
 
@@ -593,10 +575,11 @@ impl Csb {
         Some(f.scrub(&mut self.shards))
     }
 
-    /// Quarantines every flagged block and remaps its chains onto spare
-    /// blocks. Register *contents* of a remapped block are a best-effort
-    /// copy and may still be corrupt — restore a known-good
-    /// [`CsbSnapshot`] afterwards to resume bit-exact execution.
+    /// Quarantines every flagged block while spares last, each spare
+    /// taking over one block's chains. Register *contents* of a remapped
+    /// block are a best-effort copy and may still be corrupt — restore a
+    /// known-good [`CsbSnapshot`] afterwards to resume bit-exact
+    /// execution.
     pub fn quarantine_and_remap(&mut self) -> RemapOutcome {
         match self.fault.as_deref_mut() {
             Some(f) => f.quarantine_and_remap(&mut self.shards),
@@ -604,11 +587,11 @@ impl Csb {
         }
     }
 
-    /// Field service: provisions `per_shard` fresh spare blocks on every
-    /// shard (modeling a hardware swap of the exhausted spare rack) and
-    /// immediately retries quarantine-and-remap on every still-pending
-    /// block. A machine that was degraded to "unremappable faults
-    /// pending" comes back with `pending_faults() == 0` and a
+    /// Field service: provisions `spares` fresh spare blocks for the
+    /// whole CSB (modeling a hardware swap of the exhausted spare rack)
+    /// and immediately retries quarantine-and-remap on every
+    /// still-pending block. A machine that was degraded to "unremappable
+    /// faults pending" comes back with `pending_faults() == 0` and a
     /// replenished inventory — the precondition a fleet's probation
     /// ladder checks before re-admitting it. No-op while the fault layer
     /// is disarmed.
@@ -616,14 +599,11 @@ impl Csb {
     /// Like [`Csb::quarantine_and_remap`], remapped blocks inherit a
     /// best-effort (possibly corrupt) data copy: restore a known-good
     /// [`CsbSnapshot`] before trusting results again.
-    pub fn service_spares(&mut self, per_shard: usize) -> RemapOutcome {
-        if self.fault.is_none() {
-            return RemapOutcome::default();
+    pub fn service_spares(&mut self, spares: usize) -> RemapOutcome {
+        match self.fault.as_deref_mut() {
+            Some(f) => f.service_spares(&mut self.shards, spares),
+            None => RemapOutcome::default(),
         }
-        for shard in &mut self.shards {
-            shard.add_spares(per_shard);
-        }
-        self.quarantine_and_remap()
     }
 
     /// Test hook: plants one specific fault on the block holding chain
@@ -634,29 +614,28 @@ impl Csb {
     /// Panics if the fault layer is not armed, if chain `i` is out of
     /// range, or if `kind` is not [`FaultKind::in_range`].
     pub fn inject_fault(&mut self, i: usize, kind: FaultKind) {
-        let (s, j) = (i / self.shard_size, i % self.shard_size);
-        let lb = j / BLOCK_LANES;
+        assert!(i < self.geometry.num_chains(), "chain {i} out of range");
         let f = self
             .fault
             .as_deref_mut()
             .expect("enable_fault_injection first");
-        f.inject_now(&mut self.shards, s, lb, kind);
+        f.inject_now(&mut self.shards, i / BLOCK_LANES, kind);
     }
 
-    /// Unused spare blocks remaining across all shards.
+    /// Unused spare blocks remaining (0 while injection is disabled).
     pub fn spare_blocks_free(&self) -> usize {
-        self.shards.iter().map(Shard::spares_free).sum()
+        self.fault.as_deref().map_or(0, FaultLayer::spares_free)
     }
 
-    /// Physical blocks quarantined so far across all shards.
+    /// Blocks quarantined so far.
     pub fn quarantined_blocks(&self) -> usize {
-        self.shards.iter().map(Shard::quarantined_count).sum()
+        self.fault_stats().blocks_quarantined as usize
     }
 
     /// Row-granular localizations of every strike flagged so far: the
-    /// exact `(shard, logical block, subarray, row)` coordinates whose
-    /// parity mismatched at detection time. Empty while injection is
-    /// disabled or nothing has been flagged.
+    /// exact `(block, subarray, row)` coordinates whose parity
+    /// mismatched at detection time. Empty while injection is disabled
+    /// or nothing has been flagged.
     pub fn struck_rows(&self) -> Vec<StruckRow> {
         self.fault
             .as_deref()
@@ -664,13 +643,12 @@ impl Csb {
             .unwrap_or_default()
     }
 
-    /// Test hook: true when every live (logical) block's incrementally
-    /// maintained per-row parity equals a from-scratch recompute and all
-    /// syndromes are zero. Vacuously true while the fault layer is off
-    /// (the clean kernels do not maintain parity). Quarantined blocks
-    /// keep their stale mismatch by design and are not consulted.
+    /// Test hook: true when every block's incrementally maintained
+    /// per-row parity equals a from-scratch recompute and all syndromes
+    /// are zero. Vacuously true while the fault layer is off (the clean
+    /// kernels do not maintain parity).
     pub fn parity_consistent(&self) -> bool {
-        self.fault.is_none() || self.shards.iter().all(Shard::parity_consistent_logical)
+        self.fault.is_none() || self.shards.iter().all(Shard::parity_consistent)
     }
 }
 
@@ -1140,9 +1118,11 @@ mod tests {
 
         assert_eq!(csb.read_vector(5, 128), clean);
         assert_eq!(csb.pending_faults(), 0);
-        // The restore landed in the spare behind logical block 0, and the
-        // image does not depend on which physical block backs it.
-        assert_ne!(csb.shards[0].physical_of(0), 0, "block 0 must be remapped");
+        // One spare took over block 0, and the dead silicon it retired no
+        // longer scrambles: the next scrub finds nothing.
+        assert_eq!(csb.spare_blocks_free(), 1);
+        let report = csb.scrub().unwrap();
+        assert_eq!((report.newly_flagged, report.pending), (0, 0));
         assert_eq!(csb.save_registers(), snap);
         assert!(csb.parity_consistent());
         // And the machine still computes correctly on the spare.
@@ -1162,7 +1142,6 @@ mod tests {
             late: false,
         };
         let struck = StruckRow {
-            shard: 0,
             block: 0,
             subarray: 6,
             row: 3,
@@ -1242,7 +1221,6 @@ mod tests {
         assert_eq!(
             csb.struck_rows(),
             vec![StruckRow {
-                shard: 0,
                 block: 0,
                 subarray: 1,
                 row: 1,
@@ -1284,7 +1262,6 @@ mod tests {
         assert_eq!(
             csb.struck_rows(),
             vec![StruckRow {
-                shard: 0,
                 block: 0,
                 subarray: 4,
                 row: 20,
@@ -1294,7 +1271,8 @@ mod tests {
 
     #[test]
     fn remap_preserves_power_gating_and_padding_invariants() {
-        // 20 chains: shard of two blocks, the second partially padded.
+        // 20 chains: two blocks, the second partially padded (one shard
+        // or two, depending on the host's thread count).
         let mut csb = armed(20, 2);
         csb.set_active_window(0, 20 * 32);
         let gated_before = csb.window(19);
@@ -1311,6 +1289,64 @@ mod tests {
         csb.execute(&search1(0, 1, true));
         let total = csb.execute(&MicroOp::ReduceTags { subarray: 0 }).unwrap();
         assert_eq!(total, 320); // odd values in 0..640
+    }
+
+    #[test]
+    fn spare_budget_is_per_csb_whatever_the_host_parallelism() {
+        // The CSB cuts one shard per host thread; the spare budget must
+        // not follow the cut.
+        for chains in [4, 20, 1024, 4096] {
+            assert_eq!(armed(chains, 2).spare_blocks_free(), 2, "{chains} chains");
+        }
+        // Dead blocks under chains 0, 1000 and 500 (blocks 0, 62 and
+        // 31, in different shards on a multi-core host): two spares heal
+        // the first two flagged, the third stays pending until a field
+        // service brings one more.
+        let mut csb = armed(1024, 2);
+        for chain in [0, 1000, 500] {
+            csb.inject_fault(chain, FaultKind::DeadBlock);
+        }
+        assert_eq!(csb.scrub().unwrap().pending, 3);
+        let outcome = csb.quarantine_and_remap();
+        assert_eq!((outcome.remapped, outcome.failed), (2, 1));
+        assert_eq!(csb.pending_faults(), 1);
+        assert_eq!(csb.spare_blocks_free(), 0);
+        assert_eq!(csb.quarantined_blocks(), 2);
+        assert!(csb.service_spares(1).fully_recovered());
+        assert_eq!((csb.pending_faults(), csb.spare_blocks_free()), (0, 0));
+        let stats = csb.fault_stats();
+        assert_eq!((stats.blocks_quarantined, stats.blocks_remapped), (3, 3));
+        assert!(stats.fully_accounted(), "{stats:?}");
+    }
+
+    #[test]
+    fn remap_retires_the_late_strike_and_dirty_entry_of_the_old_silicon() {
+        let mut csb = armed(32, 2);
+        let strike = |row, late| FaultKind::Transient {
+            lane: 0,
+            subarray: 0,
+            row,
+            mask: 1,
+            late,
+        };
+        // The pre-broadcast scan flags block 0; a late strike then lands
+        // on it and queues it dirty again.
+        csb.inject_fault(0, strike(1, false));
+        csb.inject_fault(0, strike(2, true));
+        csb.execute(&search1(0, 0, true));
+        assert_eq!(csb.pending_faults(), 1);
+        // A late strike aimed at block 0 before the remap never lands.
+        csb.inject_fault(0, strike(3, true));
+        assert!(csb.quarantine_and_remap().fully_recovered());
+        // After the remap, detection follows strike order: block 1 first.
+        csb.inject_fault(16, strike(4, false));
+        csb.inject_fault(0, strike(5, false));
+        csb.execute(&search1(0, 0, true));
+        let blocks: Vec<u32> = csb.struck_rows().iter().map(|s| s.block).collect();
+        assert_eq!(blocks, [0, 1, 0]);
+        let stats = csb.fault_stats();
+        assert_eq!(stats.injected_transient, 4, "a retired late strike landed");
+        assert!(stats.fully_accounted(), "{stats:?}");
     }
 
     #[test]

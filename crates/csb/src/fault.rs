@@ -31,21 +31,31 @@
 //! than bad bits, lives in `cape-cp`.)
 //!
 //! Detected blocks are latched as *pending* and stay pending until the
-//! CSB quarantines them and remaps their chains onto spare blocks
+//! CSB quarantines them and a spare block takes over their chains
 //! ([`crate::Csb::quarantine_and_remap`]). Corruption can never be
 //! silently re-absorbed without any verify-before-mutate plumbing: a
 //! legitimate write moves a row's data fold and its parity word by the
 //! same XOR delta, so the mismatch survives arbitrary overwrites until
-//! the block is remapped (the spare rebuilds parity from the restored
-//! data). If spares run out, the block stays flagged forever and the
-//! machine reports itself degraded instead of computing wrong answers.
+//! the block is remapped (the spare rebuilds parity from the data it
+//! takes over, and the caller restores a checkpoint over it). If spares
+//! run out, the block stays flagged forever and the machine reports
+//! itself degraded instead of computing wrong answers.
+//!
+//! Spares are a count per CSB ([`FaultConfig::spare_blocks`]), not
+//! blocks: nothing reads quarantined silicon again, so a remap spends
+//! one spare, rebuilds the block's parity in place and retires every
+//! fault, late strike and dirty entry aimed at the old silicon. A fault
+//! belongs to its block until that quarantine retires it. Blocks are
+//! numbered across the whole CSB, so injection targets, the spare
+//! budget and the detection order do not depend on how many worker
+//! shards the host's thread count cuts.
 //!
 //! The whole layer is `Option`-wrapped inside [`Csb`](crate::Csb):
 //! disabled, the broadcast hot path pays exactly one `is_some()` branch
 //! per *program* (not per microop) and the shards run the parity-free
 //! kernel instantiation, so the PR 4 kernels keep full speed.
 
-use crate::block::BLOCK_LANES;
+use crate::block::{ChainBlock, BLOCK_LANES};
 use crate::geometry::SUBARRAYS_PER_CHAIN;
 use crate::pool::Shard;
 use crate::subarray::TOTAL_ROWS;
@@ -125,15 +135,13 @@ enum DetectTier {
 /// attributed it yet.
 #[derive(Debug, Clone, Copy)]
 struct FaultRecord {
-    shard: u32,
-    /// Physical block the fault lives in (device faults follow the
-    /// silicon, not the logical chain mapping).
-    phys: u32,
+    /// CSB-wide block the fault lives in.
+    block: usize,
     kind: FaultKind,
     /// Set once a detection flagged this block.
     detected: bool,
-    /// Set once the block is quarantined; the defect stops asserting
-    /// because nothing maps onto it any more.
+    /// Set once the block is quarantined: the defect belonged to the
+    /// retired silicon and stops asserting.
     dormant: bool,
 }
 
@@ -142,9 +150,10 @@ struct FaultRecord {
 pub struct FaultConfig {
     /// Seed for the xorshift64 stream that drives every random choice.
     pub seed: u64,
-    /// Spare blocks provisioned per shard at enable time — the remap
-    /// budget before the machine degrades.
-    pub spare_blocks_per_shard: usize,
+    /// Spare blocks provisioned for the whole CSB at enable time — the
+    /// remap budget before the machine degrades. The budget does not
+    /// depend on how the CSB splits its chains across worker threads.
+    pub spare_blocks: usize,
     /// Per-tick probability (parts per million) of registering a new
     /// stuck-at fault.
     pub stuck_ppm: u32,
@@ -162,7 +171,7 @@ impl FaultConfig {
     pub fn quiescent(spares: usize) -> Self {
         Self {
             seed: 1,
-            spare_blocks_per_shard: spares,
+            spare_blocks: spares,
             stuck_ppm: 0,
             transient_ppm: 0,
             dead_ppm: 0,
@@ -172,9 +181,7 @@ impl FaultConfig {
 }
 
 /// Running totals of everything the fault layer injected and caught.
-///
-/// Not `Copy`: `spare_remaps` carries per-spare wear counts.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Stuck-at faults registered.
     pub injected_stuck: u64,
@@ -198,14 +205,10 @@ pub struct FaultStats {
     pub faults_attributed: u64,
     /// Explicit scrub passes run.
     pub scrubs: u64,
-    /// Physical blocks quarantined.
+    /// Blocks quarantined.
     pub blocks_quarantined: u64,
-    /// Logical blocks successfully remapped onto spares.
+    /// Quarantined blocks whose chains a spare took over.
     pub blocks_remapped: u64,
-    /// Remaps absorbed by each spare slot, flattened shard-major
-    /// (`shard * spare_blocks_per_shard + slot`) — the wear-leveling
-    /// observability for the round-robin spare allocator.
-    pub spare_remaps: Vec<u64>,
 }
 
 impl FaultStats {
@@ -221,12 +224,11 @@ impl FaultStats {
 }
 
 /// One strike localized by the per-row parity: which `(subarray, row)`
-/// of which logical block mismatched when the block was flagged.
+/// of which block mismatched when the block was flagged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StruckRow {
-    /// Shard of the flagged block.
-    pub shard: u32,
-    /// Logical block index within the shard.
+    /// The flagged block, numbered across the whole CSB: block `b` holds
+    /// chains `16b..16b + 15` whatever the shard split.
     pub block: u32,
     /// Subarray of the mismatching row.
     pub subarray: u8,
@@ -250,8 +252,8 @@ pub struct ScrubReport {
 pub struct RemapOutcome {
     /// Logical blocks remapped onto spares.
     pub remapped: usize,
-    /// Blocks that could not be remapped because the owning shard is out
-    /// of spares; they stay pending and the machine is degraded.
+    /// Blocks that could not be remapped because the CSB is out of
+    /// spares; they stay pending and the machine is degraded.
     pub failed: usize,
 }
 
@@ -262,20 +264,31 @@ impl RemapOutcome {
     }
 }
 
-/// The seeded injector plus detection latches and counters. Lives as
-/// `Option<Box<FaultLayer>>` inside the CSB. The parity state itself
-/// lives *in the shards* (per-row words and per-block syndromes travel
-/// with shard ownership transfer to worker threads); this layer only
-/// keeps the flag latches and the accounting ledger.
+/// The seeded injector plus detection latches, the dirty set, the spare
+/// count and the ledger. Lives as `Option<Box<FaultLayer>>` inside the
+/// CSB. It numbers blocks across the whole CSB (block `b` holds chains
+/// `16b..16b + 15`, whatever the shard split), so nothing it decides
+/// depends on the host's thread count. The per-row parity words and
+/// block syndromes live in the blocks and travel with shard ownership
+/// transfer to worker threads; the injectors that disturb them, and the
+/// dirty set they fill, run only on the calling thread.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultLayer {
     config: FaultConfig,
     rng: u64,
+    /// Blocks per shard: block `b` lives in shard `b / shard_blocks`.
+    shard_blocks: usize,
+    /// Spare blocks left to take over a quarantined block.
+    spares: usize,
     /// Blocks latched by a detection, pending quarantine. A flagged
     /// block's corruption persists (parity mismatch travels with the
     /// data) until it is successfully remapped.
-    flagged: Vec<Vec<bool>>,
-    pending: Vec<(usize, usize)>,
+    flagged: Vec<bool>,
+    pending: Vec<usize>,
+    /// Blocks an injector disturbed since the last scan, in first-touch
+    /// order: the O(touched) set the detector drains instead of
+    /// rehashing every block.
+    dirty: Vec<usize>,
     faults: Vec<FaultRecord>,
     /// Transient strikes scheduled to land after the current broadcast.
     late_strikes: Vec<FaultRecord>,
@@ -290,39 +303,57 @@ impl FaultLayer {
     /// state, arming incremental parity on every shard — the one full
     /// parity-rebuild pass, paid once at enable time.
     pub fn new(config: FaultConfig, shards: &mut [Shard]) -> Self {
-        let flagged = shards
+        let shard_blocks = shards[0].blocks_mut().len();
+        let blocks = shards
             .iter_mut()
             .map(|s| {
                 s.enable_parity();
-                vec![false; s.nblocks_logical()]
+                s.blocks_mut().len()
             })
-            .collect();
+            .sum();
         Self {
             config,
             rng: config.seed | 1,
-            flagged,
+            shard_blocks,
+            spares: config.spare_blocks,
+            flagged: vec![false; blocks],
             pending: Vec::new(),
+            dirty: Vec::new(),
             faults: Vec::new(),
             late_strikes: Vec::new(),
             struck: Vec::new(),
-            stats: FaultStats {
-                spare_remaps: vec![0; shards.len() * config.spare_blocks_per_shard],
-                ..FaultStats::default()
-            },
+            stats: FaultStats::default(),
         }
     }
 
     pub fn stats(&self) -> FaultStats {
-        self.stats.clone()
+        self.stats
     }
 
     pub fn pending_blocks(&self) -> usize {
         self.pending.len()
     }
 
+    /// Spare blocks left.
+    pub fn spares_free(&self) -> usize {
+        self.spares
+    }
+
     /// Row-granular strike localizations recorded at flag time.
     pub fn struck_rows(&self) -> &[StruckRow] {
         &self.struck
+    }
+
+    /// CSB-wide block `b`.
+    fn block<'s>(&self, shards: &'s mut [Shard], b: usize) -> &'s mut ChainBlock {
+        &mut shards[b / self.shard_blocks].blocks_mut()[b % self.shard_blocks]
+    }
+
+    /// Queues block `b` for the next scan.
+    fn touch(&mut self, b: usize) {
+        if !self.dirty.contains(&b) {
+            self.dirty.push(b);
+        }
     }
 
     fn next(&mut self) -> u64 {
@@ -338,23 +369,6 @@ impl FaultLayer {
         ppm > 0 && self.next() % 1_000_000 < u64::from(ppm)
     }
 
-    /// A random (shard, logical block) target weighted by block count.
-    fn pick_block(&mut self, shards: &[Shard]) -> Option<(usize, usize)> {
-        let total: usize = shards.iter().map(|s| s.nblocks_logical()).sum();
-        if total == 0 {
-            return None;
-        }
-        let mut k = (self.next() % total as u64) as usize;
-        for (s, shard) in shards.iter().enumerate() {
-            let n = shard.nblocks_logical();
-            if k < n {
-                return Some((s, k));
-            }
-            k -= n;
-        }
-        None
-    }
-
     /// Pre-broadcast hook: maybe register new faults, re-assert the
     /// persistent ones and drain the parity dirty set. In the steady
     /// fault-free state the drain is empty, so this is O(registered
@@ -366,14 +380,12 @@ impl FaultLayer {
     }
 
     /// Post-broadcast hook: lands the late transient strikes. Each one
-    /// queues a parity dirty event, so the next scan — before the next
-    /// broadcast or in the next scrub — flags it. No baseline refresh
-    /// exists: the kernels maintained parity in place during the
+    /// queues its block in the dirty set, so the next scan — before the
+    /// next broadcast or in the next scrub — flags it. No baseline
+    /// refresh exists: the kernels maintained parity in place during the
     /// broadcast.
     pub fn post_broadcast(&mut self, shards: &mut [Shard]) {
-        let strikes = std::mem::take(&mut self.late_strikes);
-        for rec in strikes {
-            let s = rec.shard as usize;
+        for mut rec in std::mem::take(&mut self.late_strikes) {
             if let FaultKind::Transient {
                 lane,
                 subarray,
@@ -382,33 +394,29 @@ impl FaultLayer {
                 ..
             } = rec.kind
             {
-                if let Some(lb) = shards[s].logical_of(rec.phys as usize) {
-                    shards[s].flip_bits_logical(
-                        lb,
-                        lane as usize,
-                        subarray as usize,
-                        row as usize,
-                        mask,
-                    );
-                    // The strike happened: it enters the ledger now (see
-                    // `inject_now` — scheduled-but-never-landed strikes
-                    // are not injections). A strike aimed at silicon
-                    // quarantined in the meantime hits nothing
-                    // observable and is dropped.
-                    self.stats.injected_transient += 1;
-                    let mut rec = rec;
-                    if self.flagged[s][lb] {
-                        // The block is already latched as pending —
-                        // its contents are condemned and will never be
-                        // re-absorbed, so the existing detection covers
-                        // this strike too. Without this, a strike on a
-                        // flagged block (which scans skip) would stay
-                        // unattributed forever.
-                        rec.detected = true;
-                        self.stats.faults_attributed += 1;
-                    }
-                    self.faults.push(rec);
+                let b = rec.block;
+                self.block(shards, b).flip_bits(
+                    lane as usize,
+                    subarray as usize,
+                    row as usize,
+                    mask,
+                );
+                self.touch(b);
+                // The strike happened: it enters the ledger now (see
+                // `inject_now` — scheduled-but-never-landed strikes are
+                // not injections).
+                self.stats.injected_transient += 1;
+                if self.flagged[b] {
+                    // The block is already latched as pending — its
+                    // contents are condemned and will never be
+                    // re-absorbed, so the existing detection covers this
+                    // strike too. Without this, a strike on a flagged
+                    // block (which scans skip) would stay unattributed
+                    // forever.
+                    rec.detected = true;
+                    self.stats.faults_attributed += 1;
                 }
+                self.faults.push(rec);
             }
         }
     }
@@ -434,11 +442,8 @@ impl FaultLayer {
             if f.dormant || f.detected || matches!(f.kind, FaultKind::Transient { .. }) {
                 continue;
             }
-            let s = f.shard as usize;
-            let Some(lb) = shards[s].logical_of(f.phys as usize) else {
-                continue;
-            };
-            if self.flagged[s][lb] {
+            let b = f.block;
+            if self.flagged[b] {
                 // Block already latched by an earlier tier; the march
                 // test confirms this defect too.
                 self.faults[i].detected = true;
@@ -448,9 +453,9 @@ impl FaultLayer {
                 // march test's own knowledge of the wedged row.
                 let rows = match f.kind {
                     FaultKind::StuckAt { subarray, row, .. } => vec![(subarray, row)],
-                    _ => shards[s].struck_rows_phys(f.phys as usize),
+                    _ => self.block(shards, b).struck_rows(),
                 };
-                self.flag(s, lb, f.phys as usize, DetectTier::Scrub, &rows);
+                self.flag(b, DetectTier::Scrub, &rows);
             }
         }
         ScrubReport {
@@ -459,52 +464,51 @@ impl FaultLayer {
         }
     }
 
-    /// Quarantines every pending block and remaps its chains onto a
-    /// spare. Blocks whose shard is out of spares stay pending (degraded
-    /// machine — their corruption must never be re-absorbed).
+    /// Quarantines every pending block while spares last; blocks left
+    /// over stay pending (degraded machine — their corruption must never
+    /// be re-absorbed).
+    ///
+    /// A spare takes over the block's chains with a best-effort copy of
+    /// its (possibly corrupted) data and its lane windows, and rebuilds
+    /// parity from that copy (accepting it as ground truth — the caller
+    /// restores a clean checkpoint through the write path next), so the
+    /// inherited mismatch does not re-flag the block. Nothing reads the
+    /// retired silicon again, so the takeover is modeled in place: spend
+    /// one spare, rebuild the block's parity, and retire everything aimed
+    /// at the old silicon — its fault records go dormant, and its
+    /// scheduled late strikes and queued dirty entry are dropped.
     pub fn quarantine_and_remap(&mut self, shards: &mut [Shard]) -> RemapOutcome {
         let mut outcome = RemapOutcome::default();
-        let pending = std::mem::take(&mut self.pending);
-        for (s, lb) in pending {
-            let old_phys = shards[s].physical_of(lb);
-            match shards[s].remap_logical(lb) {
-                Some(new_phys) => {
-                    // The defect stays with the quarantined silicon; the
-                    // spare rebuilt its parity from the inherited copy
-                    // inside `remap_logical`, so no baseline bookkeeping
-                    // remains here — only the wear ledger.
-                    for f in &mut self.faults {
-                        if f.shard as usize == s && f.phys as usize == old_phys {
-                            f.dormant = true;
-                        }
-                    }
-                    self.flagged[s][lb] = false;
-                    let slot = new_phys - shards[s].nblocks_logical();
-                    // Field-service spares live past the original rack;
-                    // the flat per-slot wear ledger only covers the
-                    // as-built `spare_blocks_per_shard` slots per shard.
-                    if slot < self.config.spare_blocks_per_shard {
-                        let flat = s * self.config.spare_blocks_per_shard + slot;
-                        if let Some(n) = self.stats.spare_remaps.get_mut(flat) {
-                            *n += 1;
-                        }
-                    }
-                    self.stats.blocks_quarantined += 1;
-                    self.stats.blocks_remapped += 1;
-                    outcome.remapped += 1;
-                }
-                None => {
-                    self.pending.push((s, lb));
-                    outcome.failed += 1;
-                }
+        for b in std::mem::take(&mut self.pending) {
+            if self.spares == 0 {
+                self.pending.push(b);
+                outcome.failed += 1;
+                continue;
             }
+            self.spares -= 1;
+            self.block(shards, b).rebuild_parity();
+            for f in self.faults.iter_mut().filter(|f| f.block == b) {
+                f.dormant = true;
+            }
+            self.late_strikes.retain(|f| f.block != b);
+            self.dirty.retain(|&d| d != b);
+            self.flagged[b] = false;
+            self.stats.blocks_quarantined += 1;
+            self.stats.blocks_remapped += 1;
+            outcome.remapped += 1;
         }
         outcome
     }
 
-    /// Test hook: injects one specific fault record directly.
-    pub fn inject_now(&mut self, shards: &mut [Shard], shard: usize, lb: usize, kind: FaultKind) {
-        let phys = shards[shard].physical_of(lb);
+    /// Field service: installs `spares` fresh spare blocks and retries
+    /// quarantine-and-remap on every pending block.
+    pub fn service_spares(&mut self, shards: &mut [Shard], spares: usize) -> RemapOutcome {
+        self.spares += spares;
+        self.quarantine_and_remap(shards)
+    }
+
+    /// Test hook: injects one specific fault record into block `b`.
+    pub fn inject_now(&mut self, shards: &mut [Shard], b: usize, kind: FaultKind) {
         match kind {
             FaultKind::StuckAt { .. } => self.stats.injected_stuck += 1,
             // A late strike only counts as injected once it actually
@@ -516,8 +520,7 @@ impl FaultLayer {
             FaultKind::DeadBlock => self.stats.injected_dead += 1,
         }
         let rec = FaultRecord {
-            shard: shard as u32,
-            phys: phys as u32,
+            block: b,
             kind,
             detected: false,
             dormant: false,
@@ -530,13 +533,13 @@ impl FaultLayer {
                 mask,
                 late,
             } if !late => {
-                shards[shard].flip_bits_logical(
-                    lb,
+                self.block(shards, b).flip_bits(
                     lane as usize,
                     subarray as usize,
                     row as usize,
                     mask,
                 );
+                self.touch(b);
                 self.faults.push(rec);
             }
             FaultKind::Transient { .. } => self.late_strikes.push(rec),
@@ -565,10 +568,8 @@ impl FaultLayer {
             if !self.roll_ppm(ppm) {
                 continue;
             }
-            let Some((s, lb)) = self.pick_block(shards) else {
-                continue;
-            };
-            if self.flagged[s][lb] {
+            let b = (self.next() % self.flagged.len() as u64) as usize;
+            if self.flagged[b] {
                 continue; // already dying; aim the storm at live silicon
             }
             let lane = (self.next() % BLOCK_LANES as u64) as u8;
@@ -592,7 +593,7 @@ impl FaultLayer {
                 },
                 _ => FaultKind::DeadBlock,
             };
-            self.inject_now(shards, s, lb, kind);
+            self.inject_now(shards, b, kind);
         }
     }
 
@@ -606,7 +607,7 @@ impl FaultLayer {
             if f.dormant {
                 continue;
             }
-            let s = f.shard as usize;
+            let b = f.block;
             match f.kind {
                 FaultKind::StuckAt {
                     lane,
@@ -615,70 +616,55 @@ impl FaultLayer {
                     mask,
                     value,
                 } => {
-                    if let Some(lb) = shards[s].logical_of(f.phys as usize) {
-                        shards[s].force_bits_logical(
-                            lb,
-                            lane as usize,
-                            subarray as usize,
-                            row as usize,
-                            mask,
-                            value,
-                        );
+                    let block = self.block(shards, b);
+                    if block.force_bits(lane as usize, subarray as usize, row as usize, mask, value)
+                    {
+                        self.touch(b);
                     }
                 }
                 FaultKind::DeadBlock => {
                     let seed = self.next() as u32 | 1;
-                    if let Some(lb) = shards[s].logical_of(f.phys as usize) {
-                        shards[s].scramble_logical(lb, seed);
-                    }
+                    self.block(shards, b).scramble(seed);
+                    self.touch(b);
                 }
                 FaultKind::Transient { .. } => {}
             }
         }
     }
 
-    /// Drains every shard's parity dirty set and checks the one-word
-    /// syndrome of each touched block — O(blocks injectors disturbed
-    /// since the last drain), empty in the fault-free steady state.
-    /// A nonzero syndrome latches the block pending and localizes the
-    /// strike to its mismatching rows.
+    /// Drains the dirty set and checks the one-word syndrome of each
+    /// touched block — O(blocks injectors disturbed since the last
+    /// drain), empty in the fault-free steady state. A nonzero syndrome
+    /// latches the block pending and localizes the strike to its
+    /// mismatching rows.
     fn scan(&mut self, shards: &mut [Shard]) {
-        for (s, shard) in shards.iter_mut().enumerate() {
-            for phys in shard.drain_parity_events() {
-                let phys = phys as usize;
-                if shard.syndrome_phys(phys) == 0 {
-                    continue; // strike cancelled itself; nothing to see
-                }
-                // Quarantined/spare silicon carries no live data.
-                let Some(lb) = shard.logical_of(phys) else {
-                    continue;
-                };
-                if self.flagged[s][lb] {
-                    continue; // already condemned; strike covered
-                }
-                let rows = shard.struck_rows_phys(phys);
-                self.flag(s, lb, phys, DetectTier::Parity, &rows);
+        for b in std::mem::take(&mut self.dirty) {
+            let block = self.block(shards, b);
+            if block.syndrome() == 0 || self.flagged[b] {
+                // The strike cancelled itself, or the block is already
+                // condemned and the strike covered.
+                continue;
             }
+            let rows = block.struck_rows();
+            self.flag(b, DetectTier::Parity, &rows);
         }
     }
 
-    fn flag(&mut self, s: usize, lb: usize, phys: usize, tier: DetectTier, rows: &[(u8, u8)]) {
-        self.flagged[s][lb] = true;
-        self.pending.push((s, lb));
-        for &(subarray, row) in rows {
-            self.struck.push(StruckRow {
-                shard: s as u32,
-                block: lb as u32,
+    fn flag(&mut self, b: usize, tier: DetectTier, rows: &[(u8, u8)]) {
+        self.flagged[b] = true;
+        self.pending.push(b);
+        self.struck
+            .extend(rows.iter().map(|&(subarray, row)| StruckRow {
+                block: b as u32,
                 subarray,
                 row,
-            });
-        }
+            }));
         match tier {
             DetectTier::Parity => self.stats.detected_parity += 1,
             DetectTier::Scrub => self.stats.detected_scrub += 1,
         }
         for f in &mut self.faults {
-            if f.shard as usize == s && f.phys as usize == phys && !f.detected {
+            if f.block == b && !f.detected && !f.dormant {
                 f.detected = true;
                 self.stats.faults_attributed += 1;
             }

@@ -25,8 +25,10 @@ use crate::geometry::SUBARRAY_COLS;
 use crate::program::PlanOp;
 
 /// A contiguous run of chains (packed into [`ChainBlock`]s) plus their
-/// window masks, the block-level active list, and a reusable partial-sum
-/// scratch buffer.
+/// window masks, the block-level active list, the parity flag and a
+/// reusable partial-sum scratch buffer — only what a broadcast needs.
+/// Fault bookkeeping (spares, pending blocks, the dirty set) lives in
+/// the fault layer, which numbers blocks across the whole CSB.
 ///
 /// `windows[b][l]` is the active-column mask of lane `l` of block `b`;
 /// padding lanes of a trailing partial block keep a permanent 0 mask.
@@ -48,33 +50,10 @@ pub(crate) struct Shard {
     active_blocks: Vec<u32>,
     active_dirty: bool,
     nchains: usize,
-    /// Logical block → physical block. Identity at construction; the
-    /// fault layer's quarantine-and-remap repoints whole logical blocks
-    /// at spare physical blocks, so every per-chain accessor resolves
-    /// through this one-word indirection.
-    block_map: Vec<u32>,
-    /// Physical indices of provisioned-but-unused spare blocks. Spares
-    /// keep all-zero windows (power-gated, padding-lane invariant) until
-    /// a remap brings them live.
-    spare_free: Vec<u32>,
-    /// Physical blocks retired by quarantine; their windows are forced
-    /// to zero forever, so broadcasts never visit them again.
-    quarantined: Vec<u32>,
     /// True once the fault layer armed this shard: broadcasts run the
-    /// parity-fused kernel instantiation and injection sites queue
-    /// dirty events. All plumbing below travels *with* the shard through
-    /// worker ownership transfer — a worker thread maintains parity and
-    /// events on the shard it owns with no shared state.
+    /// parity-fused kernel instantiation, so a worker thread maintains
+    /// the parity of the shard it owns with no shared state.
     parity_on: bool,
-    /// Physical block indices with a pending parity event (an injector
-    /// touched them since the last drain), deduplicated by
-    /// `event_queued`. This is the O(touched) dirty set the detector
-    /// scans instead of rehashing every block.
-    parity_events: Vec<u32>,
-    /// One dedup flag per physical block for `parity_events`.
-    event_queued: Vec<bool>,
-    /// Round-robin cursor for wear-leveled spare selection.
-    spare_rr: usize,
     pub sums: Vec<u64>,
 }
 
@@ -94,25 +73,15 @@ impl Shard {
             active_blocks: (0..nblocks as u32).collect(),
             active_dirty: false,
             nchains: len,
-            block_map: (0..nblocks as u32).collect(),
-            spare_free: Vec::new(),
-            quarantined: Vec::new(),
             parity_on: false,
-            parity_events: Vec::new(),
-            event_queued: vec![false; nblocks],
-            spare_rr: 0,
             sums: Vec::new(),
         }
     }
 
-    /// Resolves a local chain index into its (physical block, lane)
-    /// coordinates through the remap table.
+    /// Splits a local chain index into its (block, lane) coordinates.
     #[inline]
     fn loc(&self, local: usize) -> (usize, usize) {
-        (
-            self.block_map[local / BLOCK_LANES] as usize,
-            local % BLOCK_LANES,
-        )
+        (local / BLOCK_LANES, local % BLOCK_LANES)
     }
 
     /// Number of chains in this shard (excluding block padding lanes).
@@ -297,21 +266,20 @@ impl Shard {
         self.blocks[b].write_column_block(l, reg, values, col_mask);
     }
 
-    /// Appends the image of every logical block, holding the rows in
-    /// `rows`, to `out` in logical block order, so the image does not
-    /// depend on which physical blocks (spares included) back them.
-    /// Padding lanes of a trailing partial block are stored as zero.
+    /// Appends the image of every block, holding the rows in `rows`, to
+    /// `out` in block order. Padding lanes of a trailing partial block
+    /// are stored as zero.
     pub fn save_image(&self, out: &mut Vec<u32>, rows: u64) {
-        for (lb, &phys) in self.block_map.iter().enumerate() {
-            let lanes = (self.nchains - lb * BLOCK_LANES).min(BLOCK_LANES);
-            self.blocks[phys as usize].save_image(out, lanes, rows);
+        for (b, block) in self.blocks.iter().enumerate() {
+            let lanes = (self.nchains - b * BLOCK_LANES).min(BLOCK_LANES);
+            block.save_image(out, lanes, rows);
         }
     }
 
-    /// Loads every logical block, in logical block order, from the next
-    /// image `images` yields — the inverse of [`Shard::save_image`] for
-    /// images holding the rows in `held`, rewriting the rows in
-    /// `rewrite` (see [`ChainBlock::load_image`]).
+    /// Loads every block, in block order, from the next image `images`
+    /// yields — the inverse of [`Shard::save_image`] for images holding
+    /// the rows in `held`, rewriting the rows in `rewrite` (see
+    /// [`ChainBlock::load_image`]).
     ///
     /// # Panics
     ///
@@ -322,179 +290,40 @@ impl Shard {
         held: u64,
         rewrite: u64,
     ) {
-        for &phys in &self.block_map {
+        for block in &mut self.blocks {
             let image = images.next().expect("snapshot holds one image per block");
-            self.blocks[phys as usize].load_image(image, held, rewrite);
+            block.load_image(image, held, rewrite);
         }
     }
 
-    /// The rows holding a nonzero bit in some logical block (debug
-    /// checks only).
+    /// The rows holding a nonzero bit in some block (debug checks only).
     pub fn nonzero_rows(&self) -> u64 {
-        self.block_map
+        self.blocks
             .iter()
-            .fold(0, |rows, &p| rows | self.blocks[p as usize].nonzero_rows())
+            .fold(0, |rows, b| rows | b.nonzero_rows())
     }
 
-    // ---- fault layer: spares, quarantine and whole-block remap --------
+    // ---- fault layer hooks ----------------------------------------------
 
-    /// Number of *logical* blocks (the ones chains map onto; excludes
-    /// spares and quarantined silicon).
-    pub fn nblocks_logical(&self) -> usize {
-        self.block_map.len()
-    }
-
-    /// Physical block currently backing logical block `lb`.
-    pub fn physical_of(&self, lb: usize) -> usize {
-        self.block_map[lb] as usize
-    }
-
-    /// Logical block mapped onto physical block `phys`, if any (`None`
-    /// for quarantined or unused-spare silicon).
-    pub fn logical_of(&self, phys: usize) -> Option<usize> {
-        self.block_map.iter().position(|&p| p as usize == phys)
+    /// The shard's blocks, for the fault layer's injectors and detectors.
+    pub fn blocks_mut(&mut self) -> &mut [ChainBlock] {
+        &mut self.blocks
     }
 
     /// Arms incremental parity on this shard: every block's per-row
     /// parity words are rebuilt from current data (the one full pass,
     /// paid at arming time only), and from here on broadcasts run the
-    /// parity-fused kernels and injectors queue dirty events.
+    /// parity-fused kernels.
     pub fn enable_parity(&mut self) {
         for b in self.blocks.iter_mut() {
             b.rebuild_parity();
         }
-        self.event_queued = vec![false; self.blocks.len()];
-        self.parity_events.clear();
         self.parity_on = true;
     }
 
-    /// Records that an injector disturbed physical block `phys`, for the
-    /// detector's next O(touched) dirty-set drain.
-    fn queue_parity_event(&mut self, phys: usize) {
-        if self.parity_on && !self.event_queued[phys] {
-            self.event_queued[phys] = true;
-            self.parity_events.push(phys as u32);
-        }
-    }
-
-    /// Takes the pending dirty set — physical block indices injectors
-    /// touched since the last drain. Empty (and allocation-free) in the
-    /// steady fault-free state.
-    pub fn drain_parity_events(&mut self) -> Vec<u32> {
-        for &p in &self.parity_events {
-            self.event_queued[p as usize] = false;
-        }
-        std::mem::take(&mut self.parity_events)
-    }
-
-    /// Syndrome word of physical block `phys` (0 = no parity mismatch).
-    pub fn syndrome_phys(&self, phys: usize) -> u64 {
-        self.blocks[phys].syndrome()
-    }
-
-    /// `(subarray, row)` mismatch coordinates of physical block `phys`.
-    pub fn struck_rows_phys(&self, phys: usize) -> Vec<(u8, u8)> {
-        self.blocks[phys].struck_rows()
-    }
-
-    /// Test hook: every *logical* block's parity is consistent with its
-    /// data (quarantined blocks keep their stale mismatch by design).
-    pub fn parity_consistent_logical(&self) -> bool {
-        self.block_map
-            .iter()
-            .all(|&p| self.blocks[p as usize].parity_consistent())
-    }
-
-    /// Transient strike into logical block `lb`.
-    pub fn flip_bits_logical(&mut self, lb: usize, lane: usize, s: usize, r: usize, mask: u32) {
-        let phys = self.physical_of(lb);
-        self.blocks[phys].flip_bits(lane, s, r, mask);
-        self.queue_parity_event(phys);
-    }
-
-    /// Stuck-at assertion into logical block `lb`; true if state changed.
-    pub fn force_bits_logical(
-        &mut self,
-        lb: usize,
-        lane: usize,
-        s: usize,
-        r: usize,
-        mask: u32,
-        value: bool,
-    ) -> bool {
-        let phys = self.physical_of(lb);
-        let changed = self.blocks[phys].force_bits(lane, s, r, mask, value);
-        if changed {
-            self.queue_parity_event(phys);
-        }
-        changed
-    }
-
-    /// Dead-block scramble of logical block `lb`.
-    pub fn scramble_logical(&mut self, lb: usize, seed: u32) {
-        let phys = self.physical_of(lb);
-        self.blocks[phys].scramble(seed);
-        self.queue_parity_event(phys);
-    }
-
-    /// Provisions `n` spare physical blocks. Spares start all-zero with
-    /// all-zero windows, so they are power-gated padding until a remap
-    /// brings them live — broadcasts never visit them.
-    pub fn add_spares(&mut self, n: usize) {
-        for _ in 0..n {
-            let phys = self.blocks.len() as u32;
-            self.blocks.push(ChainBlock::new());
-            self.windows.push([0u32; BLOCK_LANES]);
-            self.spare_free.push(phys);
-            self.event_queued.push(false);
-        }
-    }
-
-    /// Unused spares remaining.
-    pub fn spares_free(&self) -> usize {
-        self.spare_free.len()
-    }
-
-    /// Physical blocks retired so far.
-    pub fn quarantined_count(&self) -> usize {
-        self.quarantined.len()
-    }
-
-    /// Quarantines the physical block behind logical block `lb` and
-    /// remaps `lb` onto a spare, or returns `None` when this shard is out
-    /// of spares (the caller must treat the machine as degraded).
-    ///
-    /// Spare selection is wear-leveled: a round-robin cursor rotates
-    /// through the free list instead of always consuming the lowest
-    /// index, so repeated quarantine/re-provision cycles spread remap
-    /// wear across the shard's spare silicon.
-    ///
-    /// The spare inherits a best-effort copy of the (possibly corrupted)
-    /// data plus the lane windows — so power-gating state and padding
-    /// lanes carry over — and the retired block's windows are forced to
-    /// zero forever, excluding it from every future broadcast exactly
-    /// like a fully-masked (power-gated) block. The spare's parity is
-    /// rebuilt from the copied data (accepting it as ground truth — the
-    /// caller restores a clean checkpoint through the write path next),
-    /// so the inherited mismatch does not re-flag the remapped block.
-    pub fn remap_logical(&mut self, lb: usize) -> Option<usize> {
-        if self.spare_free.is_empty() {
-            return None;
-        }
-        let idx = self.spare_rr % self.spare_free.len();
-        let new = self.spare_free.remove(idx) as usize;
-        self.spare_rr = self.spare_rr.wrapping_add(1);
-        let old = self.physical_of(lb);
-        self.blocks[new] = self.blocks[old].clone();
-        if self.parity_on {
-            self.blocks[new].rebuild_parity();
-        }
-        self.windows[new] = self.windows[old];
-        self.windows[old] = [0u32; BLOCK_LANES];
-        self.block_map[lb] = new as u32;
-        self.quarantined.push(old as u32);
-        self.active_dirty = true;
-        Some(new)
+    /// Test hook: every block's parity is consistent with its data.
+    pub fn parity_consistent(&self) -> bool {
+        self.blocks.iter().all(ChainBlock::parity_consistent)
     }
 }
 

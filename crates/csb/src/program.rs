@@ -618,6 +618,8 @@ pub struct MicroProgram {
     /// ([`MicroOp::Update`] writes and [`MicroOp::Write`]). Taken from
     /// the op list, so it covers every row the plan can write.
     written_rows: u64,
+    /// The op list's classification, computed once here.
+    stats: MicroOpStats,
 }
 
 impl MicroProgram {
@@ -645,12 +647,18 @@ impl MicroProgram {
             MicroOp::Write { row, .. } => rows | 1 << row,
             _ => rows,
         });
+        let mut stats = MicroOpStats::new();
+        for op in &ops {
+            let (kind, bp) = op.classify();
+            stats.record(kind, bp);
+        }
         Self {
             ops: Arc::new(ops),
             plan: Arc::new(plan),
             sync_points,
             dead_stores: 0,
             written_rows,
+            stats,
         }
     }
 
@@ -705,14 +713,9 @@ impl MicroProgram {
     /// data-independent). This is what lets an instruction's modeled
     /// time and energy be charged at issue while its broadcast is
     /// deferred into a fusion window: the deferred execution records
-    /// exactly these stats.
+    /// exactly these stats. Classified once, when the program is built.
     pub fn stats(&self) -> MicroOpStats {
-        let mut s = MicroOpStats::new();
-        for op in self.ops.iter() {
-            let (kind, bp) = op.classify();
-            s.record(kind, bp);
-        }
-        s
+        self.stats
     }
 
     /// Number of microops.

@@ -259,11 +259,6 @@ impl Engine {
         self.pending.len()
     }
 
-    /// Jobs served (halted or failed typed) so far.
-    pub fn finished_jobs(&self) -> usize {
-        self.finished.len()
-    }
-
     /// Checkpointed slice re-executions across every job served so far —
     /// one of the health signals a fleet monitor samples between batches
     /// without paying for a full [`EngineReport`] clone.
@@ -303,13 +298,13 @@ impl Engine {
         Ok(())
     }
 
-    /// Field-repairs the machine: installs `per_shard` fresh spare
-    /// blocks in every shard and re-runs quarantine-and-remap (see
+    /// Field-repairs the machine: installs `spares` fresh spare blocks
+    /// for its whole CSB and re-runs quarantine-and-remap (see
     /// [`CapeMachine::service_spares`]). The fleet scheduler calls this
     /// when re-admitting a quarantined machine; on success the machine
     /// has no pending faults and a replenished spare inventory.
-    pub fn service_spares(&mut self, per_shard: usize) -> cape_core::RemapOutcome {
-        self.machine.service_spares(per_shard)
+    pub fn service_spares(&mut self, spares: usize) -> cape_core::RemapOutcome {
+        self.machine.service_spares(spares)
     }
 
     /// Admits a job, or refuses it with typed backpressure.
@@ -650,26 +645,7 @@ impl Engine {
     }
 
     fn retire(&self, job: Active) -> Finished {
-        let cp = job.cp.stats();
-        let report = RunReport {
-            cycles: cp.cycles,
-            freq_ghz: self.config.machine.freq_ghz,
-            cp,
-            microops: job.acc.microops,
-            csb_energy_uj: job.acc.energy_pj / 1e6,
-            hbm_bytes_read: job.acc.hbm_bytes_read,
-            hbm_bytes_written: job.acc.hbm_bytes_written,
-            lane_ops: job.acc.lane_ops,
-            vmu_cycles: job.acc.vmu_cycles,
-            vcu_cycles: job.acc.vcu_cycles,
-            program_cache_hits: job.acc.cache_hits,
-            program_cache_misses: job.acc.cache_misses,
-            fused_windows: job.acc.fused_windows,
-            fused_ops: job.acc.fused_ops,
-            fused_joins_saved: job.acc.fused_joins_saved,
-            window_flushes: job.acc.window_flushes,
-            dead_stores_eliminated: job.acc.dead_stores_eliminated,
-        };
+        let report = RunReport::new(job.cp.stats(), self.config.machine.freq_ghz, &job.acc);
         Finished {
             report: JobReport {
                 id: JobId(job.id),

@@ -292,12 +292,11 @@ impl<'a> Sequencer<'a> {
     /// ([`Csb::execute_program`](cape_csb::Csb::execute_program)), then
     /// the post-processing step.
     pub fn run_program(&mut self, compiled: &CompiledOp) -> ExecOutcome {
-        let before = self.csb.stats();
         let sums = self.csb.execute_program(&compiled.program);
         let scalar = compiled.post.apply(self.csb, compiled.width, &sums);
         ExecOutcome {
             scalar,
-            stats: self.csb.stats().since(&before),
+            stats: compiled.program.stats(),
         }
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! Also pins the two fault-layer behaviours the incremental scheme must
 //! preserve: a strike is localized to exactly the struck subarray row,
-//! and the spare allocator wear-levels across slots instead of burning
-//! the same spare repeatedly.
+//! and every heal spends exactly one spare, so a block struck once more
+//! than the budget stays pending.
 
 use cape_csb::{Csb, CsbGeometry, FaultConfig, FaultKind};
 use cape_ucode::{CompiledOp, LogicOp, VectorOp};
@@ -316,17 +316,14 @@ fn injected_fault_is_localized_to_the_struck_row() {
 }
 
 #[test]
-fn spare_allocation_wear_levels_across_slots() {
-    // Strike the same logical block three times, healing between
-    // strikes: each strike after the first lands on the freshly-mapped
-    // spare, so every heal asks the allocator for a new slot within one
-    // shard. The round-robin cursor must spread those remaps across
-    // distinct spare slots and record each in `FaultStats::spare_remaps`
-    // (the old first-fit allocator would be indistinguishable here only
-    // if it never reused a slot — which is exactly the property).
+fn every_heal_spends_one_spare_until_none_are_left() {
+    // Strike the same block four times, healing between strikes: each
+    // heal spends one of the three spares, so the fourth strike finds
+    // none left and stays pending. Every strike is still detected and
+    // attributed.
     let mut csb = Csb::new(CsbGeometry::new(CHAINS));
     csb.enable_fault_injection(FaultConfig::quiescent(3));
-    for round in 0u8..3 {
+    for round in 0u8..4 {
         csb.inject_fault(
             0,
             FaultKind::Transient {
@@ -338,19 +335,14 @@ fn spare_allocation_wear_levels_across_slots() {
             },
         );
         let _ = csb.scrub().expect("armed");
-        assert!(csb.quarantine_and_remap().fully_recovered());
+        assert_eq!(csb.pending_faults(), 1, "strike {round} detected");
+        let outcome = csb.quarantine_and_remap();
+        assert_eq!(outcome.fully_recovered(), round < 3, "strike {round}");
+        assert_eq!(csb.spare_blocks_free(), 2usize.saturating_sub(round.into()));
     }
+    assert_eq!(csb.pending_faults(), 1);
     let stats = csb.fault_stats();
-    assert_eq!(stats.blocks_remapped, 3);
-    let used: Vec<u64> = stats.spare_remaps.clone();
-    assert_eq!(
-        used.iter().sum::<u64>(),
-        3,
-        "every remap recorded: {used:?}"
-    );
-    assert_eq!(
-        used.iter().filter(|&&n| n > 0).count(),
-        3,
-        "round-robin must use three distinct spare slots, got {used:?}"
-    );
+    assert_eq!((stats.blocks_quarantined, stats.blocks_remapped), (3, 3));
+    assert_eq!((stats.injected_transient, stats.detected_parity), (4, 4));
+    assert!(stats.fully_accounted(), "{stats:?}");
 }
