@@ -1350,6 +1350,30 @@ mod tests {
     }
 
     #[test]
+    fn transient_on_a_pending_block_is_attributed_when_it_lands() {
+        let mut csb = armed(4, 0);
+        let strike = |row| FaultKind::Transient {
+            lane: 0,
+            subarray: 0,
+            row,
+            mask: 1,
+            late: false,
+        };
+        csb.inject_fault(0, strike(1));
+        assert_eq!(csb.scrub().unwrap().newly_flagged, 1);
+        // No spare: block 0 stays pending, so scans skip it and the
+        // march leg skips transients.
+        assert_eq!(csb.quarantine_and_remap().failed, 1);
+        csb.inject_fault(0, strike(2));
+        csb.scrub();
+        csb.scrub();
+        let stats = csb.fault_stats();
+        assert_eq!(stats.injected_transient, 2);
+        assert_eq!(stats.detected_parity, 1, "one block flagged once");
+        assert!(stats.fully_accounted(), "{stats:?}");
+    }
+
+    #[test]
     fn disabled_fault_layer_reports_zeroes() {
         let mut csb = small();
         assert!(!csb.fault_injection_enabled());

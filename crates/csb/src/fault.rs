@@ -385,40 +385,40 @@ impl FaultLayer {
     /// refresh exists: the kernels maintained parity in place during the
     /// broadcast.
     pub fn post_broadcast(&mut self, shards: &mut [Shard]) {
-        for mut rec in std::mem::take(&mut self.late_strikes) {
-            if let FaultKind::Transient {
-                lane,
-                subarray,
-                row,
-                mask,
-                ..
-            } = rec.kind
-            {
-                let b = rec.block;
-                self.block(shards, b).flip_bits(
-                    lane as usize,
-                    subarray as usize,
-                    row as usize,
-                    mask,
-                );
-                self.touch(b);
-                // The strike happened: it enters the ledger now (see
-                // `inject_now` — scheduled-but-never-landed strikes are
-                // not injections).
-                self.stats.injected_transient += 1;
-                if self.flagged[b] {
-                    // The block is already latched as pending — its
-                    // contents are condemned and will never be
-                    // re-absorbed, so the existing detection covers this
-                    // strike too. Without this, a strike on a flagged
-                    // block (which scans skip) would stay unattributed
-                    // forever.
-                    rec.detected = true;
-                    self.stats.faults_attributed += 1;
-                }
-                self.faults.push(rec);
-            }
+        for rec in std::mem::take(&mut self.late_strikes) {
+            self.land_transient(shards, rec);
         }
+    }
+
+    /// Lands one transient strike: flips its bits, queues its block for
+    /// the next scan and enters it in the ledger (a strike scheduled but
+    /// never landed is not an injection).
+    fn land_transient(&mut self, shards: &mut [Shard], mut rec: FaultRecord) {
+        let FaultKind::Transient {
+            lane,
+            subarray,
+            row,
+            mask,
+            ..
+        } = rec.kind
+        else {
+            unreachable!("only transients land as strikes")
+        };
+        let b = rec.block;
+        self.block(shards, b)
+            .flip_bits(lane as usize, subarray as usize, row as usize, mask);
+        self.touch(b);
+        self.stats.injected_transient += 1;
+        if self.flagged[b] {
+            // The block is already latched as pending — its contents are
+            // condemned and will never be re-absorbed, so the existing
+            // detection covers this strike too. Without this, a strike on
+            // a flagged block (which scans skip, and the march leg skips
+            // as a transient) would stay unattributed forever.
+            rec.detected = true;
+            self.stats.faults_attributed += 1;
+        }
+        self.faults.push(rec);
     }
 
     /// Explicit scrub pass: re-assert persistent faults (the silicon
@@ -509,16 +509,6 @@ impl FaultLayer {
 
     /// Test hook: injects one specific fault record into block `b`.
     pub fn inject_now(&mut self, shards: &mut [Shard], b: usize, kind: FaultKind) {
-        match kind {
-            FaultKind::StuckAt { .. } => self.stats.injected_stuck += 1,
-            // A late strike only counts as injected once it actually
-            // lands (`post_broadcast`) — one scheduled after the last
-            // broadcast of a run never happens, and an event that never
-            // happened must not show up in the accounting ledger.
-            FaultKind::Transient { late, .. } if !late => self.stats.injected_transient += 1,
-            FaultKind::Transient { .. } => {}
-            FaultKind::DeadBlock => self.stats.injected_dead += 1,
-        }
         let rec = FaultRecord {
             block: b,
             kind,
@@ -526,24 +516,20 @@ impl FaultLayer {
             dormant: false,
         };
         match kind {
-            FaultKind::Transient {
-                lane,
-                subarray,
-                row,
-                mask,
-                late,
-            } if !late => {
-                self.block(shards, b).flip_bits(
-                    lane as usize,
-                    subarray as usize,
-                    row as usize,
-                    mask,
-                );
-                self.touch(b);
+            FaultKind::StuckAt { .. } => {
+                self.stats.injected_stuck += 1;
                 self.faults.push(rec);
             }
-            FaultKind::Transient { .. } => self.late_strikes.push(rec),
-            _ => self.faults.push(rec),
+            FaultKind::Transient { late: false, .. } => self.land_transient(shards, rec),
+            // A late strike only counts as injected once it actually
+            // lands (`post_broadcast`) — one scheduled after the last
+            // broadcast of a run never happens, and an event that never
+            // happened must not show up in the accounting ledger.
+            FaultKind::Transient { late: true, .. } => self.late_strikes.push(rec),
+            FaultKind::DeadBlock => {
+                self.stats.injected_dead += 1;
+                self.faults.push(rec);
+            }
         }
     }
 

@@ -51,7 +51,7 @@ pub(crate) struct PlanProbe {
 
 /// A row write lowered to four bytes: `sel` picks the column source
 /// (0 = window, 1 = `tags[src]`, 2 = `acc[src]`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct PlanWrite {
     pub subarray: u8,
     pub row: u8,
@@ -183,43 +183,32 @@ fn check_index(i: usize) -> u8 {
 /// produces a result, so running both under a single dispatch is
 /// observationally identical — it just halves the op-loop overhead on the
 /// dominant search/update alternation of bit-serial arithmetic.
-fn fuse_steps(plan: Vec<PlanOp>) -> Vec<PlanOp> {
-    let mut out: Vec<PlanOp> = Vec::with_capacity(plan.len());
-    for op in plan {
-        let fused = match (out.last(), &op) {
-            (Some(PlanOp::SearchOne { .. }), PlanOp::UpdateOne { write }) => Some((
-                1u8,
-                [
-                    *write,
-                    PlanWrite {
-                        subarray: 0,
-                        row: 0,
-                        sel: 0,
-                        src: 0,
-                        value: false,
-                    },
-                ],
-            )),
-            (Some(PlanOp::SearchOne { .. }), PlanOp::UpdateTwo { writes }) => Some((2, *writes)),
-            _ => None,
+///
+/// The pass is greedy, in place, and never consumes a
+/// [`PlanOp::SearchOne`] it emitted, so it is idempotent, and over a
+/// concatenation of already fused plans it can only fuse at the seams.
+fn fuse_steps(mut plan: Vec<PlanOp>) -> Vec<PlanOp> {
+    // `dedup_by` hands each op with the last op it kept; returning true
+    // drops the op, here after folding it into the kept search.
+    plan.dedup_by(|op, kept| {
+        let (nwrites, writes) = match op {
+            PlanOp::UpdateOne { write } => (1, [*write, PlanWrite::default()]),
+            PlanOp::UpdateTwo { writes } => (2, *writes),
+            _ => return false,
         };
-        match fused {
-            Some((nwrites, writes)) => {
-                let Some(PlanOp::SearchOne { probe, dest, mode }) = out.pop() else {
-                    unreachable!("guard matched SearchOne")
-                };
-                out.push(PlanOp::Step {
-                    probe,
-                    dest,
-                    mode,
-                    nwrites,
-                    writes,
-                });
-            }
-            None => out.push(op),
-        }
-    }
-    out
+        let PlanOp::SearchOne { probe, dest, mode } = *kept else {
+            return false;
+        };
+        *kept = PlanOp::Step {
+            probe,
+            dest,
+            mode,
+            nwrites,
+            writes,
+        };
+        true
+    });
+    plan
 }
 
 /// Collapses *adjacent identical* [`PlanOp::TagCombine`]s, which show up
@@ -228,25 +217,9 @@ fn fuse_steps(plan: Vec<PlanOp>) -> Vec<PlanOp> {
 /// `Set` re-copies the unchanged source, `And`/`Or` re-apply an absorbed
 /// mask — and nothing executes between adjacent plan ops, so dropping
 /// the repeat is observationally identical.
-fn dedup_tag_combines(plan: Vec<PlanOp>) -> Vec<PlanOp> {
-    let mut out: Vec<PlanOp> = Vec::with_capacity(plan.len());
-    for op in plan {
-        if let (
-            Some(PlanOp::TagCombine {
-                src: a,
-                dst: b,
-                op: m,
-            }),
-            PlanOp::TagCombine { src, dst, op: mode },
-        ) = (out.last(), &op)
-        {
-            if a == src && b == dst && m == mode {
-                continue;
-            }
-        }
-        out.push(op);
-    }
-    out
+fn dedup_tag_combines(mut plan: Vec<PlanOp>) -> Vec<PlanOp> {
+    plan.dedup_by(|op, kept| matches!(op, PlanOp::TagCombine { .. }) && op == kept);
+    plan
 }
 
 /// Stores a plan performs: row writes (`PlanWrite`s and raw
@@ -602,12 +575,19 @@ pub(crate) fn lower(op: &MicroOp) -> PlanOp {
 
 /// A compiled, immutable microop sequence executed as one broadcast unit.
 ///
-/// The op list (and its lowered broadcast plan) is reference-counted so a
-/// cached program can be handed to every pool worker without deep-copying
-/// microops.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The op list and the lowered broadcast plan are reference-counted, so
+/// a cached program can be handed to every pool worker without
+/// deep-copying microops. The op list is held as shared handles to the
+/// op lists it was built from — one for [`MicroProgram::new`], one per
+/// part for a [`MicroProgram::windowed`] fusion window — so a window
+/// shares its microops with its parts instead of copying them.
+///
+/// Equality is by content: the op sequence, the plan, the sync points
+/// and the dead-store count. How a window was split into parts does not
+/// enter it.
+#[derive(Debug, Clone)]
 pub struct MicroProgram {
-    ops: Arc<Vec<MicroOp>>,
+    ops: Arc<[Arc<Vec<MicroOp>>]>,
     plan: Arc<Vec<PlanOp>>,
     sync_points: Vec<SyncPoint>,
     /// Stores the window peephole passes removed from the broadcast
@@ -621,6 +601,17 @@ pub struct MicroProgram {
     /// The op list's classification, computed once here.
     stats: MicroOpStats,
 }
+
+impl PartialEq for MicroProgram {
+    fn eq(&self, other: &Self) -> bool {
+        self.dead_stores == other.dead_stores
+            && self.sync_points == other.sync_points
+            && self.plan == other.plan
+            && self.ops().eq(other.ops())
+    }
+}
+
+impl Eq for MicroProgram {}
 
 impl MicroProgram {
     /// Wraps an op sequence, locating its sync points and lowering the ops
@@ -653,7 +644,7 @@ impl MicroProgram {
             stats.record(kind, bp);
         }
         Self {
-            ops: Arc::new(ops),
+            ops: Arc::new([Arc::new(ops)]),
             plan: Arc::new(plan),
             sync_points,
             dead_stores: 0,
@@ -664,28 +655,53 @@ impl MicroProgram {
 
     /// Compiles a *fusion window*: several instructions' programs
     /// concatenated in issue order into one broadcast unit executed with
-    /// a single fan-out/fan-in. [`MicroProgram::new`] over the
-    /// concatenated op list gives the seam-crossing `fuse_steps` for free
-    /// (an op ending in a search fuses with a successor's opening
-    /// update); the window plan then runs the cross-op peephole passes —
+    /// a single fan-out/fan-in.
+    ///
+    /// The window is built from what its parts already compiled; no
+    /// microop is copied or lowered again. The parts' lowered plans are
+    /// concatenated and step fusion runs over the result. Each part's
+    /// plan is already step-fused inside, so this only fuses the seams
+    /// (an op ending in a search with a successor's opening update).
+    /// The cross-op peephole passes then run over the whole window:
     /// adjacent [`MicroOp::TagCombine`] dedup and dead-store elimination
     /// over rows, tags and accumulators (an intermediate `vd` or mask
     /// fully rewritten later in the window, unread in between, is never
-    /// materialized).
+    /// materialized). For parts built by [`MicroProgram::new`] the plan
+    /// is exactly the one lowering the concatenated op list would give.
     ///
-    /// The *op* list is the unoptimized concatenation, so recorded
-    /// [`MicroOpStats`] — and everything derived from them (modeled
-    /// cycles and energy) — are identical to
-    /// running the parts one at a time; only the host broadcast plan
-    /// shrinks. The written-row mask comes from that op list too, so it
-    /// still covers every row the (smaller) plan writes.
+    /// The *op* list is the unoptimized concatenation, held as shared
+    /// handles to the parts' lists. Stats, sync points, written rows and
+    /// dead stores are merged from the parts: stats add up, sync points
+    /// shift by the ops before their part, written-row masks OR
+    /// together. So recorded [`MicroOpStats`] — and everything derived
+    /// from them (modeled cycles and energy) — are identical to running
+    /// the parts one at a time; only the host broadcast plan shrinks, and
+    /// the written-row mask still covers every row it writes.
     pub fn windowed(parts: &[&MicroProgram]) -> Self {
-        let ops: Vec<MicroOp> = parts.iter().flat_map(|p| p.ops().iter().cloned()).collect();
-        let mut fused = Self::new(ops);
-        let before = store_count(&fused.plan);
-        let plan = dead_store_eliminate_tagged(dedup_tag_combines(fused.plan.to_vec()));
-        fused.dead_stores = (before - store_count(&plan)) as u32;
-        fused.plan = Arc::new(plan);
+        let plan = fuse_steps(parts.iter().flat_map(|p| p.plan.iter().cloned()).collect());
+        let before = store_count(&plan);
+        let plan = dead_store_eliminate_tagged(dedup_tag_combines(plan));
+        let mut fused = Self {
+            ops: parts.iter().flat_map(|p| p.ops.iter().cloned()).collect(),
+            dead_stores: (before - store_count(&plan)) as u32,
+            plan: Arc::new(plan),
+            sync_points: Vec::new(),
+            written_rows: 0,
+            stats: MicroOpStats::new(),
+        };
+        let mut base = 0;
+        for p in parts {
+            fused
+                .sync_points
+                .extend(p.sync_points.iter().map(|s| SyncPoint {
+                    op_index: base + s.op_index,
+                    kind: s.kind,
+                }));
+            fused.dead_stores += p.dead_stores;
+            fused.written_rows |= p.written_rows;
+            fused.stats.merge(&p.stats);
+            base += p.len();
+        }
         fused
     }
 
@@ -703,9 +719,10 @@ impl MicroProgram {
         self.written_rows
     }
 
-    /// The microops in broadcast order.
-    pub fn ops(&self) -> &[MicroOp] {
-        &self.ops
+    /// The microops in broadcast order. A window yields its parts' ops
+    /// themselves, part after part, not copies of them.
+    pub fn ops(&self) -> impl Iterator<Item = &MicroOp> + '_ {
+        self.ops.iter().flat_map(|part| part.iter())
     }
 
     /// The statistics ledger one broadcast of this program charges,
@@ -720,13 +737,13 @@ impl MicroProgram {
 
     /// Number of microops.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.ops.iter().map(|part| part.len()).sum()
     }
 
     /// True when the program contains no microops (e.g. `vid.v`, which is
     /// modeled functionally).
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.ops.iter().all(|part| part.is_empty())
     }
 
     /// The result-producing microops, in program order.
@@ -1013,6 +1030,23 @@ mod tests {
     }
 
     #[test]
+    fn window_ops_are_its_parts_ops_not_copies() {
+        let parts = [
+            MicroProgram::new(vec![search1(0, 1), upd1(0, 2, true)]),
+            MicroProgram::new(vec![]),
+            MicroProgram::new(vec![upd1(1, 3, false), MicroOp::ReduceTags { subarray: 1 }]),
+        ];
+        let refs: Vec<&MicroProgram> = parts.iter().collect();
+        let fused = MicroProgram::windowed(&refs);
+        let mut part_ops = parts.iter().flat_map(|p| p.ops());
+        for w in fused.ops() {
+            let p = part_ops.next().expect("window yields no extra ops");
+            assert!(std::ptr::eq(w, p), "window copied {w:?}");
+        }
+        assert!(part_ops.next().is_none(), "window yields every op");
+    }
+
+    #[test]
     fn static_stats_mirror_the_live_classification() {
         let prog = MicroProgram::new(vec![
             search1(0, 1),
@@ -1209,6 +1243,30 @@ mod window_properties {
                 fused.plan_len() <= fused.len(),
                 "fusion never grows the plan past the op list"
             );
+
+            // Built from the parts' plans, the window is exactly the
+            // program re-lowering the whole op list gives.
+            let reference = relowered_window(&ops);
+            prop_assert_eq!(fused.plan(), reference.plan(), "plan");
+            prop_assert_eq!(fused.dead_stores(), reference.dead_stores(), "dead stores");
+            prop_assert_eq!(fused.len(), reference.len(), "len");
+            prop_assert_eq!(fused.sync_points(), reference.sync_points(), "sync points");
+            prop_assert_eq!(fused.stats(), reference.stats(), "stats");
+            prop_assert_eq!(fused.written_rows(), reference.written_rows(), "written rows");
+            prop_assert!(fused.ops().eq(reference.ops()), "op sequence");
+            prop_assert_eq!(&fused, &reference, "equality ignores the split");
         }
+    }
+
+    /// The window construction [`MicroProgram::windowed`] replaced, kept
+    /// as its oracle: lower the concatenated op list from scratch, then
+    /// run the cross-op peepholes over the whole plan.
+    fn relowered_window(ops: &[MicroOp]) -> MicroProgram {
+        let mut fused = MicroProgram::new(ops.to_vec());
+        let before = store_count(&fused.plan);
+        let plan = dead_store_eliminate_tagged(dedup_tag_combines(fused.plan.to_vec()));
+        fused.dead_stores = (before - store_count(&plan)) as u32;
+        fused.plan = Arc::new(plan);
+        fused
     }
 }

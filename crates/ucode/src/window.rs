@@ -12,11 +12,15 @@
 //! own lowering and its (absent) post-processing, so a mixed-SEW window
 //! is an ordinary concatenation of plans compiled at their own widths.
 //!
-//! [`fuse_window`] concatenates the buffered ops' lowered programs in
-//! issue order ([`MicroProgram::windowed`](cape_csb::MicroProgram::windowed)),
-//! re-running step fusion across the op seams plus the cross-op
+//! [`fuse_window`] builds the window from what the buffered ops already
+//! compiled ([`MicroProgram::windowed`](cape_csb::MicroProgram::windowed)):
+//! it concatenates their lowered plans in issue order, runs step fusion
+//! over the result (which fuses only the op seams), then the cross-op
 //! plan-level peepholes (adjacent `TagCombine` merging, then dead-store
-//! elimination over rows, tags and accumulators).
+//! elimination over rows, tags and accumulators). No microop is copied
+//! or lowered again: the window's op list is shared handles to the
+//! parts' lists, and its stats, sync points and written rows are merged
+//! from the parts'.
 //!
 //! Fused windows are cacheable exactly like single compiled ops: the
 //! program depends only on the `(VectorOp, SEW)` sequence, never on CSB
@@ -75,8 +79,9 @@ pub fn window_fingerprint(ops: &[(VectorOp, u32)]) -> u64 {
 /// Compiles several buffered operations into one fused window program.
 ///
 /// The result replays every part with one broadcast and one join: the
-/// parts are concatenated in issue order, then step fusion across the
-/// seams and the plan-level peephole passes run over the whole window
+/// parts' lowered plans are concatenated in issue order, then step
+/// fusion across the seams and the plan-level peephole passes run over
+/// the whole window
 /// ([`MicroProgram::windowed`](cape_csb::MicroProgram::windowed)). CSB
 /// state afterwards is bit-identical to running the parts back to back.
 ///

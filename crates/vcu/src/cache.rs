@@ -120,8 +120,11 @@ pub struct ProgramCache {
 impl ProgramCache {
     /// Default entry count. Sized so scalar-specialized sweeps — e.g.
     /// histogram's 256-bucket `vmseq.vx` inner loop, one program per
-    /// bucket value — still fit without LRU thrash; compiled programs are
-    /// a few dozen microops, so this is cheap.
+    /// bucket value — still fit without LRU thrash. Programs are not
+    /// small (`vmul.vv` emits 4 225 microops, and a `tenants` window
+    /// averages about 8 500), but a fused-window entry holds only its
+    /// own lowered plan plus shared handles to its parts' op lists (the
+    /// lists the per-op entries hold); it copies no microops.
     pub const DEFAULT_CAPACITY: usize = 1024;
 
     /// A cache holding at most `capacity` compiled programs.
