@@ -2,10 +2,13 @@
 //! harness plus a coarse performance ratio check.
 //!
 //! 1. **Differential:** representative vector ops (bit-serial adder,
-//!    signed compare, reduction, scalar compare) run through the
+//!    signed compare, reduction, scalar compare, and the gated
+//!    shift-add passes of a multiply) run through the
 //!    block-backed [`Csb`] and through scalar reference [`Chain`]s
 //!    seeded with identical state, on full and partial windows; every
 //!    reduction sum and every chain's final state must be bit-exact.
+//!    It runs at 1 024 chains (64 full blocks) and on a CAPE-tiny CSB of
+//!    4 chains (one block, 12 of its lanes padding).
 //! 2. **Ratio:** a whole `vadd.vv` program through the block path must
 //!    be no slower than the scalar chain-at-a-time broadcast sweep it
 //!    replaced, with a generous 1.2× noise margin.
@@ -19,9 +22,12 @@ use cape_ucode::{CompiledOp, VectorOp};
 
 const CHAINS: usize = 1024;
 
+/// The CAPE-tiny geometry: one block, 12 of its 16 lanes padding.
+const TINY_CHAINS: usize = 4;
+
 /// Deterministically seeded CSB (same scheme as the differential tests).
-fn seeded_csb() -> Csb {
-    let mut csb = Csb::new(CsbGeometry::new(CHAINS));
+fn seeded_csb(chains: usize) -> Csb {
+    let mut csb = Csb::new(CsbGeometry::new(chains));
     let n = csb.max_vl();
     let mut state = 0x9E37_79B9_u32;
     let mut next = move || {
@@ -57,17 +63,17 @@ fn scalar_sweep(chains: &mut [Chain], windows: &[u32], program: &MicroProgram) -
     sums
 }
 
-fn differential(op: &VectorOp, vstart: usize, vl: usize) {
-    let mut csb = seeded_csb();
+fn differential(chains: usize, op: &VectorOp, vstart: usize, vl: usize) {
+    let mut csb = seeded_csb(chains);
     csb.set_active_window(vstart, vl);
-    let mut reference: Vec<Chain> = (0..CHAINS).map(|c| csb.chain(c)).collect();
-    let windows: Vec<u32> = (0..CHAINS).map(|c| csb.window(c)).collect();
+    let mut reference: Vec<Chain> = (0..chains).map(|c| csb.chain(c)).collect();
+    let windows: Vec<u32> = (0..chains).map(|c| csb.window(c)).collect();
 
     let compiled = CompiledOp::compile(op, 32);
     let block_sums = csb.execute_program(compiled.program());
     let ref_sums = scalar_sweep(&mut reference, &windows, compiled.program());
 
-    let ctx = format!("{op:?} window={vstart}..{vl}");
+    let ctx = format!("{op:?} chains={chains} window={vstart}..{vl}");
     assert_eq!(block_sums, ref_sums, "reduction sums diverged: {ctx}");
     for (c, want) in reference.iter().enumerate() {
         assert_eq!(&csb.chain(c), want, "chain {c} diverged: {ctx}");
@@ -77,7 +83,7 @@ fn differential(op: &VectorOp, vstart: usize, vl: usize) {
 
 fn main() {
     println!("kernel-smoke: block-SoA kernels vs scalar Chain reference");
-    println!("[1/2] differential ({CHAINS} chains)");
+    println!("[1/2] differential ({CHAINS} and {TINY_CHAINS} chains)");
     let ops = [
         VectorOp::Add {
             vd: 3,
@@ -96,18 +102,25 @@ fn main() {
             vs1: 1,
             rs: 0x7F,
         },
+        VectorOp::Mul {
+            vd: 3,
+            vs1: 1,
+            vs2: 2,
+        },
     ];
-    let max_vl = CHAINS * 32;
-    for op in &ops {
-        differential(op, 0, max_vl); // full window
-        differential(op, 7, max_vl * 6 / 10); // restart + tail gating
+    for chains in [CHAINS, TINY_CHAINS] {
+        let max_vl = chains * 32;
+        for op in &ops {
+            differential(chains, op, 0, max_vl); // full window
+            differential(chains, op, 7, max_vl * 6 / 10); // restart + tail gating
+        }
     }
 
     println!("[2/2] coarse ratio (vadd.vv, {CHAINS} chains, best of 5)");
     let compiled = CompiledOp::compile(&ops[0], 32);
     let iters = 5;
 
-    let mut csb = seeded_csb();
+    let mut csb = seeded_csb(CHAINS);
     let mut block_best = u128::MAX;
     for _ in 0..iters {
         let t = Instant::now();
@@ -115,7 +128,7 @@ fn main() {
         block_best = block_best.min(t.elapsed().as_nanos());
     }
 
-    let seed = seeded_csb();
+    let seed = seeded_csb(CHAINS);
     let mut reference: Vec<Chain> = (0..CHAINS).map(|c| seed.chain(c)).collect();
     let windows: Vec<u32> = (0..CHAINS).map(|c| seed.window(c)).collect();
     let mut scalar_best = u128::MAX;

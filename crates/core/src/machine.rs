@@ -755,7 +755,7 @@ impl CapeMachine {
             }
             Instr::Vlrw { vd, .. } => {
                 self.flush_window_as(FlushReason::Vmu);
-                let chunk = rs2.max(1) as usize;
+                let chunk = usize::try_from(rs2.max(1)).unwrap_or(usize::MAX);
                 let t = self.vmu.load_replica(
                     &mut self.csb,
                     mem,

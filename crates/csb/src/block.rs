@@ -34,7 +34,7 @@ use crate::bitmat::transpose32;
 use crate::chain::Chain;
 use crate::geometry::{SUBARRAYS_PER_CHAIN, SUBARRAY_COLS};
 use crate::microop::{TagDest, TagMode};
-use crate::program::{PlanOp, PlanProbe, PlanWrite};
+use crate::program::{Plan, PlanOp, PlanProbe, PlanWrite};
 use crate::subarray::{DATA_ROWS, TOTAL_ROWS};
 
 /// Chains per block: 16 `u32` row-slices = one 64-byte cache line.
@@ -210,22 +210,34 @@ impl ChainBlock {
         }
     }
 
-    /// Executes one lowered microop across every lane of the block.
-    /// Returns the window-masked tag popcount summed over the lanes for
-    /// [`PlanOp::ReduceTags`], `None` otherwise. `Read` is a no-op here:
-    /// row data is chain-local and consumers read block state after the
-    /// program completes.
+    /// Executes one lowered microop of `plan` across every lane of the
+    /// block, reading a general search's probes or a general update's
+    /// writes from the plan's tables. Returns the window-masked tag
+    /// popcount summed over the lanes for [`PlanOp::ReduceTags`], `None`
+    /// otherwise. `Read` is a no-op here: row data is chain-local and
+    /// consumers read block state after the program completes.
     ///
     /// `PARITY` monomorphizes the row-write kernels: `true` fuses the
     /// per-row XOR-fold parity update into every write loop (fault mode),
     /// `false` compiles the exact pre-parity kernels (clean mode keeps
     /// full speed). The branch is on a const, so each instantiation is
     /// branch-free.
-    pub fn execute_plan<const PARITY: bool>(&mut self, op: &PlanOp, win: &Lanes) -> Option<u64> {
-        match op {
+    ///
+    /// This and the kernels it calls are always inlined, so the
+    /// broadcast loop over a plan ([`Shard::run`](crate::pool::Shard::run))
+    /// compiles to one loop with no call per op, and the match and
+    /// lane slices stay in registers.
+    #[inline(always)]
+    pub fn execute_plan<const PARITY: bool>(
+        &mut self,
+        op: &PlanOp,
+        plan: &Plan,
+        win: &Lanes,
+    ) -> Option<u64> {
+        match *op {
             PlanOp::SearchOne { probe, dest, mode } => {
-                let m = self.probe_match(probe, win);
-                self.accumulate(probe.subarray as usize, &m, *dest, *mode, win);
+                let m = self.probe_match(&probe, win);
+                self.accumulate(probe.subarray as usize, &m, dest, mode, win);
                 None
             }
             PlanOp::Step {
@@ -235,36 +247,37 @@ impl ChainBlock {
                 nwrites,
                 writes,
             } => {
-                let m = self.probe_match(probe, win);
-                self.accumulate(probe.subarray as usize, &m, *dest, *mode, win);
+                let m = self.probe_match(&probe, win);
+                self.accumulate(probe.subarray as usize, &m, dest, mode, win);
                 self.plan_write::<PARITY>(&writes[0], win);
-                if *nwrites == 2 {
+                if nwrites == 2 {
                     self.plan_write::<PARITY>(&writes[1], win);
                 }
                 None
             }
             PlanOp::Search {
+                at,
                 probes,
                 gates,
                 dest,
                 mode,
             } => {
-                let mut gate = [u32::MAX; BLOCK_LANES];
-                for g in gates.iter() {
-                    self.and_probe(g, &mut gate);
+                let (probes, gates) = plan.search(at, probes, gates);
+                // The window ANDed with every gate's match, once for all
+                // probes.
+                let mut gated = *win;
+                for g in gates {
+                    self.and_probe(g, &mut gated);
                 }
-                for p in probes.iter() {
-                    let mut m = *win;
-                    for l in 0..BLOCK_LANES {
-                        m[l] &= gate[l];
-                    }
+                for p in probes {
+                    let mut m = gated;
                     self.and_probe(p, &mut m);
-                    self.accumulate(p.subarray as usize, &m, *dest, *mode, win);
+                    self.accumulate(p.subarray as usize, &m, dest, mode, win);
                 }
                 None
             }
             PlanOp::UpdateOne { write } => {
-                self.plan_write::<PARITY>(write, win);
+                self.plan_write::<PARITY>(&write, win);
                 None
             }
             PlanOp::UpdateTwo { writes } => {
@@ -272,12 +285,13 @@ impl ChainBlock {
                 self.plan_write::<PARITY>(&writes[1], win);
                 None
             }
-            PlanOp::Update { writes } => {
+            PlanOp::Update { at, n } => {
+                let writes = plan.update(at, n);
                 debug_assert!(
                     distinct_subarrays(writes),
                     "update writes two rows of one subarray"
                 );
-                for w in writes.iter() {
+                for w in writes {
                     self.plan_write::<PARITY>(w, win);
                 }
                 None
@@ -289,7 +303,7 @@ impl ChainBlock {
                 data,
                 mask,
             } => {
-                let r = &mut self.rows[*subarray as usize][*row as usize];
+                let r = &mut self.rows[subarray as usize][row as usize];
                 if PARITY {
                     let mut delta = 0u32;
                     for l in 0..BLOCK_LANES {
@@ -297,7 +311,7 @@ impl ChainBlock {
                         delta ^= (r[l] ^ data) & m;
                         r[l] = (r[l] & !m) | (data & m);
                     }
-                    self.parity[*subarray as usize][*row as usize] ^= delta;
+                    self.parity[subarray as usize][row as usize] ^= delta;
                 } else {
                     for l in 0..BLOCK_LANES {
                         let m = mask & win[l];
@@ -307,7 +321,7 @@ impl ChainBlock {
                 None
             }
             PlanOp::ReduceTags { subarray } => {
-                let t = &self.tags[*subarray as usize];
+                let t = &self.tags[subarray as usize];
                 let mut sum = 0u64;
                 for l in 0..BLOCK_LANES {
                     sum += u64::from((t[l] & win[l]).count_ones());
@@ -315,8 +329,8 @@ impl ChainBlock {
                 Some(sum)
             }
             PlanOp::TagCombine { src, dst, op } => {
-                let m = self.tags[*src as usize];
-                let d = &mut self.tags[*dst as usize];
+                let m = self.tags[src as usize];
+                let d = &mut self.tags[dst as usize];
                 match op {
                     TagMode::Set => {
                         for l in 0..BLOCK_LANES {
@@ -342,7 +356,7 @@ impl ChainBlock {
 
     /// ANDs the probe's branchless key matches into `m`: per key row,
     /// `m[l] &= rows[l] ^ inv` over the contiguous row-slice.
-    #[inline]
+    #[inline(always)]
     fn and_probe(&self, p: &PlanProbe, m: &mut Lanes) {
         let sub = &self.rows[p.subarray as usize];
         for k in 0..p.nkeys as usize {
@@ -355,7 +369,7 @@ impl ChainBlock {
     }
 
     /// Window-masked single-probe match across the block's lanes.
-    #[inline]
+    #[inline(always)]
     fn probe_match(&self, p: &PlanProbe, win: &Lanes) -> Lanes {
         let mut m = *win;
         self.and_probe(p, &mut m);
@@ -366,7 +380,7 @@ impl ChainBlock {
     /// accumulator of `sub`. `Set` blends through the lane-activity mask
     /// so power-gated lanes keep their register value, exactly like the
     /// scalar path that never executes them.
-    #[inline]
+    #[inline(always)]
     fn accumulate(&mut self, sub: usize, m: &Lanes, dest: TagDest, mode: TagMode, win: &Lanes) {
         let reg = match dest {
             TagDest::Tags => &mut self.tags[sub],
@@ -397,7 +411,7 @@ impl ChainBlock {
     /// `PARITY` the XOR-fold of the changed bits (`cols & !row` for a
     /// set, `cols & row` for a clear) folds into the row's parity word —
     /// one extra XOR per lane word, branchless alongside the write.
-    #[inline]
+    #[inline(always)]
     fn plan_write<const PARITY: bool>(&mut self, w: &PlanWrite, win: &Lanes) {
         let mut cols = *win;
         match w.sel {
@@ -910,10 +924,11 @@ mod tests {
     fn assert_block_matches_reference(win: Lanes, seed: u32) {
         let (mut block, mut chains) = seeded_pair(seed);
         let program = MicroProgram::new(sample_ops());
+        let plan = program.plan();
 
         let mut block_sums = Vec::new();
-        for op in program.plan() {
-            if let Some(s) = block.execute_plan::<true>(op, &win) {
+        for op in &plan.ops {
+            if let Some(s) = block.execute_plan::<true>(op, plan, &win) {
                 block_sums.push(s);
             }
         }
@@ -974,8 +989,8 @@ mod tests {
         let mut win = [u32::MAX; BLOCK_LANES];
         win[4] = 0;
         let program = MicroProgram::new(sample_ops());
-        for op in program.plan() {
-            block.execute_plan::<false>(op, &win);
+        for op in &program.plan().ops {
+            block.execute_plan::<false>(op, program.plan(), &win);
         }
         assert_eq!(block.to_chain(4), before, "gated lane must not change");
         drop(chains);
@@ -987,10 +1002,11 @@ mod tests {
         let (mut with, _) = seeded_pair(0x7A51);
         let (mut without, _) = seeded_pair(0x7A51);
         let program = MicroProgram::new(sample_ops());
-        for op in program.plan() {
+        let plan = program.plan();
+        for op in &plan.ops {
             assert_eq!(
-                with.execute_plan::<true>(op, &win),
-                without.execute_plan::<false>(op, &win)
+                with.execute_plan::<true>(op, plan, &win),
+                without.execute_plan::<false>(op, plan, &win)
             );
         }
         for lane in 0..BLOCK_LANES {
@@ -1016,7 +1032,7 @@ mod tests {
             data: 0xFFFF_FFFF,
             mask: u32::MAX,
         };
-        block.execute_plan::<true>(&op, &win);
+        block.execute_plan::<true>(&op, &Plan::default(), &win);
         assert_ne!(block.syndrome(), 0, "overwrite must not absorb the strike");
         assert_eq!(block.struck_rows(), vec![(7, 5)]);
         // Rebuild (quarantine/remap path) clears it.

@@ -164,7 +164,7 @@ impl Chain {
 
     /// Structural validation of the one-row-per-subarray update rule. The
     /// broadcast path validates once per program at plan lowering
-    /// ([`crate::program::lower`]); this re-check makes the reference
+    /// ([`crate::program::Plan::lower`]); this re-check makes the reference
     /// model reject a malformed update in every build profile too.
     fn check_one_row_per_subarray(&self, writes: &[WriteSpec]) {
         let mut seen = 0u32;

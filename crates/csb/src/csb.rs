@@ -261,8 +261,7 @@ impl Csb {
             f.pre_broadcast(&mut self.shards);
         }
         if self.use_pool() {
-            let ops = program.plan_arc();
-            self.pool.run(&mut self.shards, &ops);
+            self.pool.run(&mut self.shards, &program.plan_arc());
         } else {
             for shard in &mut self.shards {
                 shard.run(program.plan());

@@ -22,7 +22,7 @@ use std::thread::JoinHandle;
 use crate::block::{ChainBlock, Lanes, BLOCK_LANES};
 use crate::chain::Chain;
 use crate::geometry::SUBARRAY_COLS;
-use crate::program::PlanOp;
+use crate::program::Plan;
 
 /// A contiguous run of chains (packed into [`ChainBlock`]s) plus their
 /// window masks, the block-level active list, the parity flag and a
@@ -40,7 +40,7 @@ use crate::program::PlanOp;
 /// so it can never go stale when masks change between programs.
 ///
 /// `sums` accumulates one window-masked popcount partial sum per
-/// [`PlanOp::ReduceTags`] in the program, in program order, and is
+/// reduction in the plan, in program order, and is
 /// cleared and refilled in place on every run — no per-microop
 /// allocation.
 #[derive(Debug, Clone, Default)]
@@ -129,8 +129,8 @@ impl Shard {
         self.active_blocks.len()
     }
 
-    /// Runs a whole lowered microop program over this shard's active
-    /// blocks, leaving one partial sum per `ReduceTags` op in `self.sums`.
+    /// Runs a whole lowered plan over this shard's active blocks,
+    /// leaving one partial sum per `ReduceTags` op in `self.sums`.
     ///
     /// Every microop except `ReduceTags` is chain-local, so the only
     /// cross-chain synchronization a program needs is the harvest of
@@ -145,16 +145,19 @@ impl Shard {
     /// loop runs a fully monomorphized kernel set: the clean path stays
     /// byte-for-byte the pre-parity kernels, the fault path fuses the
     /// per-row parity fold into every write.
-    pub fn run(&mut self, ops: &[PlanOp]) {
+    pub fn run(&mut self, plan: &Plan) {
         self.refresh_active();
         if self.parity_on {
-            self.run_plan::<true>(ops);
+            self.run_plan::<true>(plan);
         } else {
-            self.run_plan::<false>(ops);
+            self.run_plan::<false>(plan);
         }
     }
 
-    fn run_plan<const PARITY: bool>(&mut self, ops: &[PlanOp]) {
+    /// The broadcast loop: the block kernels are inlined into it
+    /// ([`ChainBlock::execute_plan`]), so a plan op costs its lane
+    /// sweeps and one dispatch, and only a reduction yields a sum.
+    fn run_plan<const PARITY: bool>(&mut self, plan: &Plan) {
         let Shard {
             blocks,
             windows,
@@ -163,24 +166,15 @@ impl Shard {
             ..
         } = self;
         sums.clear();
-        sums.resize(
-            ops.iter()
-                .filter(|op| matches!(op, PlanOp::ReduceTags { .. }))
-                .count(),
-            0,
-        );
+        sums.resize(plan.reduces, 0);
         for &b in active_blocks.iter() {
             let block = &mut blocks[b as usize];
             let win = &windows[b as usize];
             let mut k = 0;
-            for op in ops {
-                if matches!(op, PlanOp::ReduceTags { .. }) {
-                    if let Some(r) = block.execute_plan::<PARITY>(op, win) {
-                        sums[k] += r;
-                    }
+            for op in &plan.ops {
+                if let Some(r) = block.execute_plan::<PARITY>(op, plan, win) {
+                    sums[k] += r;
                     k += 1;
-                } else {
-                    block.execute_plan::<PARITY>(op, win);
                 }
             }
         }
@@ -327,11 +321,11 @@ impl Shard {
     }
 }
 
-/// One unit of work: a shard to own and the lowered program to broadcast
+/// One unit of work: a shard to own and the lowered plan to broadcast
 /// over it.
 struct Job {
     shard: Shard,
-    ops: Arc<Vec<PlanOp>>,
+    plan: Arc<Plan>,
 }
 
 struct Worker {
@@ -372,7 +366,7 @@ impl WorkerPool {
                 .name(format!("csb-broadcast-{}", self.workers.len()))
                 .spawn(move || {
                     while let Ok(mut job) = job_rx.recv() {
-                        job.shard.run(&job.ops);
+                        job.shard.run(&job.plan);
                         if res_tx.send(job.shard).is_err() {
                             break;
                         }
@@ -390,12 +384,12 @@ impl WorkerPool {
     /// Fans the program out once over all shards and joins. Each shard is
     /// moved to its worker, run through every microop locally, and moved
     /// back with its partial sums filled in.
-    pub fn run(&mut self, shards: &mut [Shard], ops: &Arc<Vec<PlanOp>>) {
+    pub fn run(&mut self, shards: &mut [Shard], plan: &Arc<Plan>) {
         self.ensure(shards.len());
         for (slot, worker) in shards.iter_mut().zip(&self.workers) {
             let job = Job {
                 shard: std::mem::take(slot),
-                ops: Arc::clone(ops),
+                plan: Arc::clone(plan),
             };
             worker
                 .tx
@@ -446,7 +440,7 @@ mod tests {
     use super::*;
     use crate::block::{image_words, ALL_ROWS};
     use crate::microop::{MicroOp, Probe, TagDest, TagMode};
-    use crate::program::lower;
+    use crate::program::Plan;
 
     fn sample_shard(len: usize) -> Shard {
         let mut s = Shard::new(len);
@@ -476,8 +470,8 @@ mod tests {
         ]
     }
 
-    fn sample_plan() -> Vec<PlanOp> {
-        sample_ops().iter().map(lower).collect()
+    fn sample_plan() -> Plan {
+        Plan::lower(&sample_ops())
     }
 
     /// Runs the original microops over materialized scalar chains — the
@@ -579,18 +573,18 @@ mod tests {
 
     #[test]
     fn pool_run_equals_serial_run_and_reuses_workers() {
-        let ops = Arc::new(sample_plan());
+        let plan = Arc::new(sample_plan());
         let mut pooled: Vec<Shard> = (0..4).map(|i| sample_shard(2 + i)).collect();
         let mut serial = pooled.clone();
 
         let mut pool = WorkerPool::new();
-        pool.run(&mut pooled, &ops);
-        pool.run(&mut pooled, &ops); // second dispatch reuses threads
+        pool.run(&mut pooled, &plan);
+        pool.run(&mut pooled, &plan); // second dispatch reuses threads
         assert_eq!(pool.spawned(), 4);
 
         for s in serial.iter_mut() {
-            s.run(&ops);
-            s.run(&ops);
+            s.run(&plan);
+            s.run(&plan);
         }
         for (p, s) in pooled.iter().zip(&serial) {
             assert_eq!(p.sums, s.sums);

@@ -65,8 +65,16 @@ pub(crate) struct PlanWrite {
 /// subarray per update, index ranges) happen once here, at compile time,
 /// instead of once per chain per op in the fan-out. The dominant
 /// bit-serial shapes — a single ungated probe, an update of one or two
-/// rows — get inline variants so the hot loop touches no per-op heap.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// rows — get inline variants.
+///
+/// Every variant is fixed-size `Copy` data. The two shapes with a
+/// variable operand count, a general search and a general update, hold
+/// an offset `at` and counts into their [`Plan`]'s side tables instead
+/// of a heap slice, so the hot loop touches no per-op heap and a plan is
+/// copied, not cloned op by op. The derived equality compares those
+/// offsets, which depend on the table layout; compare plans with
+/// [`Plan`]'s `==`, which resolves them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PlanOp {
     /// One ungated probe (most bit-serial truth-table searches).
     SearchOne {
@@ -86,10 +94,13 @@ pub(crate) enum PlanOp {
         nwrites: u8,
         writes: [PlanWrite; 2],
     },
-    /// General search: several probes and/or gate probes.
+    /// General search: several probes and/or gate probes. Its `probes`
+    /// match probes and then its `gates` gate probes sit at
+    /// [`Plan::probes`]`[at..]`.
     Search {
-        probes: Box<[PlanProbe]>,
-        gates: Box<[PlanProbe]>,
+        at: u32,
+        probes: u8,
+        gates: u8,
         dest: TagDest,
         mode: TagMode,
     },
@@ -101,9 +112,11 @@ pub(crate) enum PlanOp {
     UpdateTwo {
         writes: [PlanWrite; 2],
     },
-    /// General update (bit-parallel clears/copies touching many subarrays).
+    /// General update (bit-parallel clears/copies touching many
+    /// subarrays): `n` writes at [`Plan::writes`]`[at..]`.
     Update {
-        writes: Box<[PlanWrite]>,
+        at: u32,
+        n: u8,
     },
     Read {
         subarray: u8,
@@ -123,6 +136,161 @@ pub(crate) enum PlanOp {
         dst: u8,
         op: TagMode,
     },
+}
+
+// The broadcast loop copies plan ops and walks them as one array: keep
+// them plain data, no wider than a fused step.
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<PlanOp>();
+    assert!(std::mem::size_of::<PlanOp>() <= 40);
+};
+
+impl PlanOp {
+    /// This op with its table offset moved past `probes` probe and
+    /// `writes` write entries: its place in a concatenated plan.
+    fn shifted(mut self, probes: u32, writes: u32) -> Self {
+        match &mut self {
+            PlanOp::Search { at, .. } => *at += probes,
+            PlanOp::Update { at, .. } => *at += writes,
+            _ => {}
+        }
+        self
+    }
+}
+
+/// A lowered broadcast plan: the op list, the side tables its general
+/// searches and updates index, and how many reductions it produces.
+///
+/// Its ops and table entries are flat `Copy` data, so a window's plan is
+/// its parts' vectors copied end to end with the offsets shifted, and a
+/// broadcast runs it as one loop over `ops` with no pointer to chase per
+/// op.
+/// Table entries an op no longer references (a search or write the
+/// dead-store pass dropped) stay in place and are never read.
+///
+/// Equality is by content: ops compare with their table entries
+/// resolved ([`Plan::resolve`]), so it does not depend on the table
+/// layout or on how a window was split into parts.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Plan {
+    pub ops: Vec<PlanOp>,
+    pub probes: Vec<PlanProbe>,
+    pub writes: Vec<PlanWrite>,
+    /// The number of [`PlanOp::ReduceTags`] in `ops`: the length of the
+    /// sum vector one broadcast returns.
+    pub reduces: usize,
+}
+
+/// A plan op with its table entries resolved: what it does, wherever
+/// its plan keeps them.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Resolved<'a> {
+    Search {
+        probes: &'a [PlanProbe],
+        gates: &'a [PlanProbe],
+        dest: TagDest,
+        mode: TagMode,
+    },
+    Update(&'a [PlanWrite]),
+    /// Every other op holds all its operands itself.
+    Inline(PlanOp),
+}
+
+impl PartialEq for Plan {
+    fn eq(&self, other: &Self) -> bool {
+        self.ops.len() == other.ops.len()
+            && self
+                .ops
+                .iter()
+                .zip(&other.ops)
+                .all(|(a, b)| self.resolve(a) == other.resolve(b))
+    }
+}
+
+impl Eq for Plan {}
+
+/// A table length as an op offset.
+fn table_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("plan tables hold fewer than 2^32 entries")
+}
+
+/// An operand count as a plan op field.
+fn operand_count(n: usize) -> u8 {
+    u8::try_from(n).expect("a microop has at most 255 probes, gates or writes")
+}
+
+impl Plan {
+    /// Lowers `ops` one for one (no step fusion), running each op's
+    /// structural validation once.
+    pub(crate) fn lower(ops: &[MicroOp]) -> Self {
+        let mut plan = Self {
+            ops: Vec::with_capacity(ops.len()),
+            ..Self::default()
+        };
+        for op in ops {
+            let lowered = plan.lower_op(op);
+            plan.ops.push(lowered);
+        }
+        plan
+    }
+
+    /// The match probes and gate probes of a [`PlanOp::Search`].
+    #[inline(always)]
+    pub(crate) fn search(&self, at: u32, probes: u8, gates: u8) -> (&[PlanProbe], &[PlanProbe]) {
+        self.probes[at as usize..][..usize::from(probes) + usize::from(gates)]
+            .split_at(usize::from(probes))
+    }
+
+    /// The writes of a [`PlanOp::Update`].
+    #[inline(always)]
+    pub(crate) fn update(&self, at: u32, n: u8) -> &[PlanWrite] {
+        &self.writes[at as usize..][..usize::from(n)]
+    }
+
+    /// `op`, one of this plan's ops, with its table entries resolved.
+    pub(crate) fn resolve(&self, op: &PlanOp) -> Resolved<'_> {
+        match *op {
+            PlanOp::Search {
+                at,
+                probes,
+                gates,
+                dest,
+                mode,
+            } => {
+                let (probes, gates) = self.search(at, probes, gates);
+                Resolved::Search {
+                    probes,
+                    gates,
+                    dest,
+                    mode,
+                }
+            }
+            PlanOp::Update { at, n } => Resolved::Update(self.update(at, n)),
+            op => Resolved::Inline(op),
+        }
+    }
+
+    /// The parts' plans end to end: tables appended, offsets shifted.
+    /// Three copies per part, no allocation per op.
+    fn concat<'a>(parts: impl Iterator<Item = &'a Plan> + Clone) -> Self {
+        let mut plan = Self {
+            ops: Vec::with_capacity(parts.clone().map(|p| p.ops.len()).sum()),
+            probes: Vec::with_capacity(parts.clone().map(|p| p.probes.len()).sum()),
+            writes: Vec::with_capacity(parts.clone().map(|p| p.writes.len()).sum()),
+            reduces: 0,
+        };
+        for part in parts {
+            let probes = table_offset(plan.probes.len());
+            let writes = table_offset(plan.writes.len());
+            plan.probes.extend_from_slice(&part.probes);
+            plan.writes.extend_from_slice(&part.writes);
+            plan.ops
+                .extend(part.ops.iter().map(|op| op.shifted(probes, writes)));
+            plan.reduces += part.reduces;
+        }
+        plan
+    }
 }
 
 fn lower_probe(p: &Probe) -> PlanProbe {
@@ -187,10 +355,10 @@ fn check_index(i: usize) -> u8 {
 /// The pass is greedy, in place, and never consumes a
 /// [`PlanOp::SearchOne`] it emitted, so it is idempotent, and over a
 /// concatenation of already fused plans it can only fuse at the seams.
-fn fuse_steps(mut plan: Vec<PlanOp>) -> Vec<PlanOp> {
+fn fuse_steps(ops: &mut Vec<PlanOp>) {
     // `dedup_by` hands each op with the last op it kept; returning true
     // drops the op, here after folding it into the kept search.
-    plan.dedup_by(|op, kept| {
+    ops.dedup_by(|op, kept| {
         let (nwrites, writes) = match op {
             PlanOp::UpdateOne { write } => (1, [*write, PlanWrite::default()]),
             PlanOp::UpdateTwo { writes } => (2, *writes),
@@ -208,7 +376,6 @@ fn fuse_steps(mut plan: Vec<PlanOp>) -> Vec<PlanOp> {
         };
         true
     });
-    plan
 }
 
 /// Collapses *adjacent identical* [`PlanOp::TagCombine`]s, which show up
@@ -217,9 +384,8 @@ fn fuse_steps(mut plan: Vec<PlanOp>) -> Vec<PlanOp> {
 /// `Set` re-copies the unchanged source, `And`/`Or` re-apply an absorbed
 /// mask — and nothing executes between adjacent plan ops, so dropping
 /// the repeat is observationally identical.
-fn dedup_tag_combines(mut plan: Vec<PlanOp>) -> Vec<PlanOp> {
-    plan.dedup_by(|op, kept| matches!(op, PlanOp::TagCombine { .. }) && op == kept);
-    plan
+fn dedup_tag_combines(ops: &mut Vec<PlanOp>) {
+    ops.dedup_by(|op, kept| matches!(op, PlanOp::TagCombine { .. }) && op == kept);
 }
 
 /// Stores a plan performs: row writes (`PlanWrite`s and raw
@@ -228,15 +394,15 @@ fn dedup_tag_combines(mut plan: Vec<PlanOp>) -> Vec<PlanOp> {
 /// stores, so the before/after difference of this count is the window's
 /// `dead_stores_eliminated` ledger. `fuse_steps` merges ops without
 /// dropping stores, so the count is invariant under step fusion.
-fn store_count(plan: &[PlanOp]) -> usize {
-    plan.iter()
+fn store_count(ops: &[PlanOp]) -> usize {
+    ops.iter()
         .map(|op| match op {
             PlanOp::SearchOne { .. } => 1,
             PlanOp::Step { nwrites, .. } => 1 + *nwrites as usize,
-            PlanOp::Search { probes, .. } => probes.len(),
+            PlanOp::Search { probes, .. } => usize::from(*probes),
             PlanOp::UpdateOne { .. } => 1,
             PlanOp::UpdateTwo { .. } => 2,
-            PlanOp::Update { writes } => writes.len(),
+            PlanOp::Update { n, .. } => usize::from(*n),
             PlanOp::Write { .. } => 1,
             PlanOp::TagCombine { .. } => 1,
             PlanOp::Read { .. } | PlanOp::ReduceTags { .. } => 0,
@@ -335,59 +501,78 @@ impl Liveness {
 /// survive demotes to the bare update, and vice versa. The op list (and
 /// thus recorded stats, sync points, and modeled cycles/energy) is
 /// untouched — this shrinks host broadcast work only.
-fn dead_store_eliminate_tagged(plan: Vec<PlanOp>) -> Vec<PlanOp> {
+///
+/// Works in place: the kept ops, and a general update's surviving
+/// writes inside its own table range, are packed in order against the
+/// end of their slice as the walk goes.
+fn dead_store_eliminate_tagged(plan: &mut Plan) {
+    let mut ops = std::mem::take(&mut plan.ops);
     let mut live = Liveness::new();
-    let mut kept: Vec<PlanOp> = Vec::with_capacity(plan.len());
-    for op in plan.into_iter().rev() {
+    let start = retain_backwards(&mut ops, |op| live.visit(op, plan));
+    ops.drain(..start);
+    plan.ops = ops;
+}
+
+/// Visits `items` last to first and packs each value `visit` keeps
+/// against the end of the slice, in their original order. Returns where
+/// the kept run starts. A kept value never lands before the slot it was
+/// read from, so nothing is overwritten before it is visited.
+fn retain_backwards<T: Copy>(items: &mut [T], mut visit: impl FnMut(T) -> Option<T>) -> usize {
+    let mut start = items.len();
+    for i in (0..items.len()).rev() {
+        if let Some(kept) = visit(items[i]) {
+            start -= 1;
+            items[start] = kept;
+        }
+    }
+    start
+}
+
+impl Liveness {
+    /// Reverse-order visit of one plan op of `plan`: the op that still
+    /// has to run (possibly demoted), or `None` when all it does is
+    /// covered.
+    fn visit(&mut self, op: PlanOp, plan: &mut Plan) -> Option<PlanOp> {
         match op {
-            PlanOp::UpdateOne { write } => {
-                if let Some(w) = live.visit_write(write) {
-                    kept.push(PlanOp::UpdateOne { write: w });
-                }
-            }
+            PlanOp::UpdateOne { write } => self
+                .visit_write(write)
+                .map(|w| PlanOp::UpdateOne { write: w }),
             PlanOp::UpdateTwo { writes } => {
-                let b = live.visit_write(writes[1]);
-                let a = live.visit_write(writes[0]);
+                let b = self.visit_write(writes[1]);
+                let a = self.visit_write(writes[0]);
                 match (a, b) {
-                    (Some(a), Some(b)) => kept.push(PlanOp::UpdateTwo { writes: [a, b] }),
-                    (Some(w), None) | (None, Some(w)) => kept.push(PlanOp::UpdateOne { write: w }),
-                    (None, None) => {}
+                    (Some(a), Some(b)) => Some(PlanOp::UpdateTwo { writes: [a, b] }),
+                    (Some(w), None) | (None, Some(w)) => Some(PlanOp::UpdateOne { write: w }),
+                    (None, None) => None,
                 }
             }
-            PlanOp::Update { writes } => {
-                let mut survivors: Vec<PlanWrite> = writes
-                    .iter()
-                    .rev()
-                    .filter_map(|w| live.visit_write(*w))
-                    .collect();
-                survivors.reverse();
-                match survivors.as_slice() {
-                    [] => {}
-                    [w] => kept.push(PlanOp::UpdateOne { write: *w }),
-                    [a, b] => kept.push(PlanOp::UpdateTwo { writes: [*a, *b] }),
-                    _ => kept.push(PlanOp::Update {
-                        writes: survivors.into_boxed_slice(),
+            PlanOp::Update { at, n } => {
+                let writes = &mut plan.writes[at as usize..][..usize::from(n)];
+                let start = retain_backwards(writes, |w| self.visit_write(w));
+                match writes[start..] {
+                    [] => None,
+                    [w] => Some(PlanOp::UpdateOne { write: w }),
+                    [a, b] => Some(PlanOp::UpdateTwo { writes: [a, b] }),
+                    _ => Some(PlanOp::Update {
+                        at: at + table_offset(start),
+                        n: n - operand_count(start),
                     }),
                 }
             }
             PlanOp::Write {
                 subarray,
                 row,
-                data,
                 mask,
+                ..
             } => {
-                let cell = &mut live.rows[subarray as usize][row as usize];
-                if !*cell {
-                    if mask == u32::MAX {
-                        *cell = true;
-                    }
-                    kept.push(PlanOp::Write {
-                        subarray,
-                        row,
-                        data,
-                        mask,
-                    });
+                let cell = &mut self.rows[subarray as usize][row as usize];
+                if *cell {
+                    return None;
                 }
+                if mask == u32::MAX {
+                    *cell = true;
+                }
+                Some(op)
             }
             PlanOp::Step {
                 probe,
@@ -401,10 +586,10 @@ fn dead_store_eliminate_tagged(plan: Vec<PlanOp>) -> Vec<PlanOp> {
                 // search itself latched, pinning it), then the match
                 // store, then the probe's key-row reads.
                 let b = (nwrites == 2)
-                    .then(|| live.visit_write(writes[1]))
+                    .then(|| self.visit_write(writes[1]))
                     .flatten();
-                let a = live.visit_write(writes[0]);
-                let store_dead = live.visit_store(dest, mode, probe.subarray);
+                let a = self.visit_write(writes[0]);
+                let store_dead = self.visit_store(dest, mode, probe.subarray);
                 let mut surviving = [writes[0]; 2];
                 let mut n = 0u8;
                 for w in [a, b].into_iter().flatten() {
@@ -412,34 +597,36 @@ fn dead_store_eliminate_tagged(plan: Vec<PlanOp>) -> Vec<PlanOp> {
                     n += 1;
                 }
                 match (store_dead, n) {
-                    (true, 0) => {}
-                    (true, 1) => kept.push(PlanOp::UpdateOne {
+                    (true, 0) => None,
+                    (true, 1) => Some(PlanOp::UpdateOne {
                         write: surviving[0],
                     }),
-                    (true, _) => kept.push(PlanOp::UpdateTwo { writes: surviving }),
+                    (true, _) => Some(PlanOp::UpdateTwo { writes: surviving }),
                     (false, 0) => {
-                        live.uncover_probe(&probe);
-                        kept.push(PlanOp::SearchOne { probe, dest, mode });
+                        self.uncover_probe(&probe);
+                        Some(PlanOp::SearchOne { probe, dest, mode })
                     }
                     (false, n) => {
-                        live.uncover_probe(&probe);
-                        kept.push(PlanOp::Step {
+                        self.uncover_probe(&probe);
+                        Some(PlanOp::Step {
                             probe,
                             dest,
                             mode,
                             nwrites: n,
                             writes: surviving,
-                        });
+                        })
                     }
                 }
             }
             PlanOp::SearchOne { probe, dest, mode } => {
-                if !live.visit_store(dest, mode, probe.subarray) {
-                    live.uncover_probe(&probe);
-                    kept.push(PlanOp::SearchOne { probe, dest, mode });
+                if self.visit_store(dest, mode, probe.subarray) {
+                    return None;
                 }
+                self.uncover_probe(&probe);
+                Some(op)
             }
             PlanOp::Search {
+                at,
                 probes,
                 gates,
                 dest,
@@ -450,126 +637,135 @@ fn dead_store_eliminate_tagged(plan: Vec<PlanOp>) -> Vec<PlanOp> {
                 // covered. A kept op executes all of them, so visit
                 // each (latching `Set` coverage, unpinning `And`/`Or`
                 // reads) and then uncover every probed row.
-                let all_dead = probes.iter().all(|p| *live.reg_mut(dest, p.subarray));
-                if all_dead {
-                    continue;
+                let (probes, gates) = plan.search(at, probes, gates);
+                if probes.iter().all(|p| *self.reg_mut(dest, p.subarray)) {
+                    return None;
                 }
-                for p in probes.iter() {
-                    live.visit_store(dest, mode, p.subarray);
+                for p in probes {
+                    self.visit_store(dest, mode, p.subarray);
                 }
-                for p in probes.iter().chain(gates.iter()) {
-                    live.uncover_probe(p);
+                for p in probes.iter().chain(gates) {
+                    self.uncover_probe(p);
                 }
-                kept.push(PlanOp::Search {
-                    probes,
-                    gates,
-                    dest,
-                    mode,
-                });
+                Some(op)
             }
             PlanOp::Read { subarray, row } => {
-                live.rows[subarray as usize][row as usize] = false;
-                kept.push(PlanOp::Read { subarray, row });
+                self.rows[subarray as usize][row as usize] = false;
+                Some(op)
             }
             PlanOp::ReduceTags { subarray } => {
-                live.tags[subarray as usize] = false;
-                kept.push(PlanOp::ReduceTags { subarray });
+                self.tags[subarray as usize] = false;
+                Some(op)
             }
-            PlanOp::TagCombine { src, dst, op } => {
-                if live.tags[dst as usize] {
-                    continue;
+            PlanOp::TagCombine { src, dst, op: mode } => {
+                if self.tags[dst as usize] {
+                    return None;
                 }
-                live.tags[dst as usize] = op == TagMode::Set;
-                live.tags[src as usize] = false;
-                kept.push(PlanOp::TagCombine { src, dst, op });
+                self.tags[dst as usize] = mode == TagMode::Set;
+                self.tags[src as usize] = false;
+                Some(op)
             }
         }
     }
-    kept.reverse();
-    kept
 }
 
-/// Lowers one microop, running its structural validation once.
-pub(crate) fn lower(op: &MicroOp) -> PlanOp {
-    match op {
-        MicroOp::Search {
-            probes,
-            gates,
-            dest,
-            mode,
-        } => {
-            if gates.is_empty() && probes.len() == 1 {
-                PlanOp::SearchOne {
-                    probe: lower_probe(&probes[0]),
-                    dest: *dest,
-                    mode: *mode,
+impl Plan {
+    /// Lowers one microop, appending a general search's probes or a
+    /// general update's writes to the tables, and runs its structural
+    /// validation once.
+    fn lower_op(&mut self, op: &MicroOp) -> PlanOp {
+        match op {
+            MicroOp::Search {
+                probes,
+                gates,
+                dest,
+                mode,
+            } => {
+                if gates.is_empty() && probes.len() == 1 {
+                    PlanOp::SearchOne {
+                        probe: lower_probe(&probes[0]),
+                        dest: *dest,
+                        mode: *mode,
+                    }
+                } else {
+                    let at = table_offset(self.probes.len());
+                    self.probes
+                        .extend(probes.iter().chain(gates).map(lower_probe));
+                    PlanOp::Search {
+                        at,
+                        probes: operand_count(probes.len()),
+                        gates: operand_count(gates.len()),
+                        dest: *dest,
+                        mode: *mode,
+                    }
                 }
-            } else {
-                PlanOp::Search {
-                    probes: probes.iter().map(lower_probe).collect(),
-                    gates: gates.iter().map(lower_probe).collect(),
-                    dest: *dest,
-                    mode: *mode,
+            }
+            MicroOp::Update { writes } => {
+                let mut seen = 0u32;
+                for w in writes {
+                    assert!(
+                        w.subarray < SUBARRAYS_PER_CHAIN,
+                        "subarray {} out of range",
+                        w.subarray
+                    );
+                    let bit = 1u32 << w.subarray;
+                    assert!(
+                        seen & bit == 0,
+                        "update writes two rows of subarray {}",
+                        w.subarray
+                    );
+                    seen |= bit;
+                }
+                match writes.as_slice() {
+                    [w] => PlanOp::UpdateOne {
+                        write: lower_write(w),
+                    },
+                    [a, b] => PlanOp::UpdateTwo {
+                        writes: [lower_write(a), lower_write(b)],
+                    },
+                    ws => {
+                        let at = table_offset(self.writes.len());
+                        self.writes.extend(ws.iter().map(lower_write));
+                        PlanOp::Update {
+                            at,
+                            n: operand_count(ws.len()),
+                        }
+                    }
                 }
             }
-        }
-        MicroOp::Update { writes } => {
-            let mut seen = 0u32;
-            for w in writes {
-                assert!(
-                    w.subarray < SUBARRAYS_PER_CHAIN,
-                    "subarray {} out of range",
-                    w.subarray
-                );
-                let bit = 1u32 << w.subarray;
-                assert!(
-                    seen & bit == 0,
-                    "update writes two rows of subarray {}",
-                    w.subarray
-                );
-                seen |= bit;
+            MicroOp::Read { subarray, row } => {
+                assert!(*row < TOTAL_ROWS, "row {row} out of range");
+                PlanOp::Read {
+                    subarray: check_index(*subarray),
+                    row: *row as u8,
+                }
             }
-            match writes.as_slice() {
-                [w] => PlanOp::UpdateOne {
-                    write: lower_write(w),
-                },
-                [a, b] => PlanOp::UpdateTwo {
-                    writes: [lower_write(a), lower_write(b)],
-                },
-                ws => PlanOp::Update {
-                    writes: ws.iter().map(lower_write).collect(),
-                },
+            MicroOp::Write {
+                subarray,
+                row,
+                data,
+                mask,
+            } => {
+                assert!(*row < TOTAL_ROWS, "row {row} out of range");
+                PlanOp::Write {
+                    subarray: check_index(*subarray),
+                    row: *row as u8,
+                    data: *data,
+                    mask: *mask,
+                }
             }
-        }
-        MicroOp::Read { subarray, row } => {
-            assert!(*row < TOTAL_ROWS, "row {row} out of range");
-            PlanOp::Read {
-                subarray: check_index(*subarray),
-                row: *row as u8,
+            MicroOp::ReduceTags { subarray } => {
+                self.reduces += 1;
+                PlanOp::ReduceTags {
+                    subarray: check_index(*subarray),
+                }
             }
+            MicroOp::TagCombine { src, dst, op } => PlanOp::TagCombine {
+                src: check_index(*src),
+                dst: check_index(*dst),
+                op: *op,
+            },
         }
-        MicroOp::Write {
-            subarray,
-            row,
-            data,
-            mask,
-        } => {
-            assert!(*row < TOTAL_ROWS, "row {row} out of range");
-            PlanOp::Write {
-                subarray: check_index(*subarray),
-                row: *row as u8,
-                data: *data,
-                mask: *mask,
-            }
-        }
-        MicroOp::ReduceTags { subarray } => PlanOp::ReduceTags {
-            subarray: check_index(*subarray),
-        },
-        MicroOp::TagCombine { src, dst, op } => PlanOp::TagCombine {
-            src: check_index(*src),
-            dst: check_index(*dst),
-            op: *op,
-        },
     }
 }
 
@@ -582,13 +778,13 @@ pub(crate) fn lower(op: &MicroOp) -> PlanOp {
 /// part for a [`MicroProgram::windowed`] fusion window — so a window
 /// shares its microops with its parts instead of copying them.
 ///
-/// Equality is by content: the op sequence, the plan, the sync points
-/// and the dead-store count. How a window was split into parts does not
-/// enter it.
+/// Equality is by content: the op sequence, the plan (with its table
+/// entries resolved, see `Plan`), the sync points and the dead-store
+/// count. How a window was split into parts does not enter it.
 #[derive(Debug, Clone)]
 pub struct MicroProgram {
     ops: Arc<[Arc<Vec<MicroOp>>]>,
-    plan: Arc<Vec<PlanOp>>,
+    plan: Arc<Plan>,
     sync_points: Vec<SyncPoint>,
     /// Stores the window peephole passes removed from the broadcast
     /// plan relative to plain concatenation — compile-time metadata, so
@@ -632,7 +828,8 @@ impl MicroProgram {
                 _ => None,
             })
             .collect();
-        let plan = fuse_steps(ops.iter().map(lower).collect());
+        let mut plan = Plan::lower(&ops);
+        fuse_steps(&mut plan.ops);
         let written_rows = ops.iter().fold(0u64, |rows, op| match op {
             MicroOp::Update { writes } => writes.iter().fold(rows, |rows, w| rows | 1 << w.row),
             MicroOp::Write { row, .. } => rows | 1 << row,
@@ -659,15 +856,18 @@ impl MicroProgram {
     ///
     /// The window is built from what its parts already compiled; no
     /// microop is copied or lowered again. The parts' lowered plans are
-    /// concatenated and step fusion runs over the result. Each part's
-    /// plan is already step-fused inside, so this only fuses the seams
-    /// (an op ending in a search with a successor's opening update).
+    /// concatenated — their op lists and side tables copied end to end,
+    /// table offsets shifted, nothing allocated per op — and step fusion
+    /// runs over the result. Each part's plan is already step-fused
+    /// inside, so this only fuses the seams (an op ending in a search
+    /// with a successor's opening update).
     /// The cross-op peephole passes then run over the whole window:
     /// adjacent [`MicroOp::TagCombine`] dedup and dead-store elimination
     /// over rows, tags and accumulators (an intermediate `vd` or mask
     /// fully rewritten later in the window, unread in between, is never
-    /// materialized). For parts built by [`MicroProgram::new`] the plan
-    /// is exactly the one lowering the concatenated op list would give.
+    /// materialized), both in place. For parts built by
+    /// [`MicroProgram::new`] the plan equals the one lowering the
+    /// concatenated op list would give.
     ///
     /// The *op* list is the unoptimized concatenation, held as shared
     /// handles to the parts' lists. Stats, sync points, written rows and
@@ -678,12 +878,14 @@ impl MicroProgram {
     /// the parts one at a time; only the host broadcast plan shrinks, and
     /// the written-row mask still covers every row it writes.
     pub fn windowed(parts: &[&MicroProgram]) -> Self {
-        let plan = fuse_steps(parts.iter().flat_map(|p| p.plan.iter().cloned()).collect());
-        let before = store_count(&plan);
-        let plan = dead_store_eliminate_tagged(dedup_tag_combines(plan));
+        let mut plan = Plan::concat(parts.iter().map(|p| &*p.plan));
+        fuse_steps(&mut plan.ops);
+        let before = store_count(&plan.ops);
+        dedup_tag_combines(&mut plan.ops);
+        dead_store_eliminate_tagged(&mut plan);
         let mut fused = Self {
             ops: parts.iter().flat_map(|p| p.ops.iter().cloned()).collect(),
-            dead_stores: (before - store_count(&plan)) as u32,
+            dead_stores: (before - store_count(&plan.ops)) as u32,
             plan: Arc::new(plan),
             sync_points: Vec::new(),
             written_rows: 0,
@@ -754,10 +956,7 @@ impl MicroProgram {
     /// Number of reduction sync points — the length of the sum vector
     /// [`Csb::execute_program`](crate::Csb::execute_program) returns.
     pub fn reduce_count(&self) -> usize {
-        self.sync_points
-            .iter()
-            .filter(|s| s.kind == SyncKind::Reduce)
-            .count()
+        self.plan.reduces
     }
 
     /// Number of broadcast plan steps the host actually executes. Equal
@@ -765,16 +964,16 @@ impl MicroProgram {
     /// (for windows) the cross-op peephole passes — the observable size
     /// of the fusion win.
     pub fn plan_len(&self) -> usize {
-        self.plan.len()
+        self.plan.ops.len()
     }
 
-    /// The lowered broadcast plan, op for op parallel to [`Self::ops`].
-    pub(crate) fn plan(&self) -> &[PlanOp] {
+    /// The lowered broadcast plan.
+    pub(crate) fn plan(&self) -> &Plan {
         &self.plan
     }
 
     /// Shared handle to the lowered plan (cheap clone for pool workers).
-    pub(crate) fn plan_arc(&self) -> Arc<Vec<PlanOp>> {
+    pub(crate) fn plan_arc(&self) -> Arc<Plan> {
         Arc::clone(&self.plan)
     }
 }
@@ -852,12 +1051,15 @@ mod tests {
     fn windowed_fuses_steps_across_op_seams() {
         let a = MicroProgram::new(vec![search1(0, 1)]);
         let b = MicroProgram::new(vec![upd1(0, 2, true)]);
-        assert!(matches!(a.plan()[0], PlanOp::SearchOne { .. }));
-        assert!(matches!(b.plan()[0], PlanOp::UpdateOne { .. }));
+        assert!(matches!(a.plan().ops[0], PlanOp::SearchOne { .. }));
+        assert!(matches!(b.plan().ops[0], PlanOp::UpdateOne { .. }));
         let fused = MicroProgram::windowed(&[&a, &b]);
         assert_eq!(fused.len(), 2, "op list is the plain concatenation");
-        assert_eq!(fused.plan().len(), 1, "seam search+update fuse to a step");
-        assert!(matches!(fused.plan()[0], PlanOp::Step { nwrites: 1, .. }));
+        assert_eq!(fused.plan_len(), 1, "seam search+update fuse to a step");
+        assert!(matches!(
+            fused.plan().ops[0],
+            PlanOp::Step { nwrites: 1, .. }
+        ));
     }
 
     #[test]
@@ -871,7 +1073,7 @@ mod tests {
         let b = MicroProgram::new(vec![tc.clone(), tc]);
         let fused = MicroProgram::windowed(&[&a, &b]);
         assert_eq!(fused.len(), 3);
-        assert_eq!(fused.plan().len(), 1, "idempotent transfer deduped");
+        assert_eq!(fused.plan_len(), 1, "idempotent transfer deduped");
     }
 
     #[test]
@@ -882,9 +1084,9 @@ mod tests {
         let b = MicroProgram::new(vec![upd1(5, 3, false)]);
         let fused = MicroProgram::windowed(&[&a, &b]);
         assert_eq!(fused.len(), 2, "stats still charge both updates");
-        assert_eq!(fused.plan().len(), 1, "first store is dead");
+        assert_eq!(fused.plan_len(), 1, "first store is dead");
         assert!(
-            matches!(fused.plan()[0], PlanOp::UpdateOne { write } if !write.value),
+            matches!(fused.plan().ops[0], PlanOp::UpdateOne { write } if !write.value),
             "the surviving store is the later one"
         );
     }
@@ -900,7 +1102,7 @@ mod tests {
         ]);
         let b = MicroProgram::new(vec![upd1(5, 3, false)]);
         let fused = MicroProgram::windowed(&[&a, &b]);
-        assert_eq!(fused.plan().len(), 3, "read pins the earlier store");
+        assert_eq!(fused.plan_len(), 3, "read pins the earlier store");
     }
 
     #[test]
@@ -913,6 +1115,7 @@ mod tests {
         // first store must survive: the search reads the row.
         let writes: usize = fused
             .plan()
+            .ops
             .iter()
             .map(|p| match p {
                 PlanOp::UpdateOne { .. } => 1,
@@ -936,7 +1139,7 @@ mod tests {
         let b = MicroProgram::new(vec![upd1(7, 0, false)]);
         let fused = MicroProgram::windowed(&[&a, &b]);
         assert_eq!(
-            fused.plan().len(),
+            fused.plan_len(),
             1,
             "tag-selected columns are a subset of the window"
         );
@@ -1021,6 +1224,44 @@ mod tests {
         // cover.
         assert_eq!(fused.dead_stores(), 0, "the selected write pins the search");
         assert_eq!(fused.plan_len(), 2);
+    }
+
+    #[test]
+    fn plan_equality_resolves_table_offsets() {
+        // The window's first general search is dead and its general
+        // update loses a covered write, which leaves table entries no op
+        // references and shifts the surviving ops' offsets. The plan
+        // still equals the one lowered without them.
+        let search = |row| MicroOp::Search {
+            probes: vec![Probe::row(2, row, true), Probe::row(3, row, true)],
+            gates: vec![],
+            dest: TagDest::Tags,
+            mode: TagMode::Set,
+        };
+        let update = |subs: &[usize]| MicroOp::Update {
+            writes: subs
+                .iter()
+                .map(|&subarray| WriteSpec {
+                    subarray,
+                    row: 3,
+                    value: true,
+                    cols: crate::microop::ColSel::Window,
+                })
+                .collect(),
+        };
+        let parts = [
+            MicroProgram::new(vec![search(1), update(&[0, 1, 2, 3])]),
+            MicroProgram::new(vec![search(5), upd1(1, 3, false)]),
+        ];
+        let window = MicroProgram::windowed(&[&parts[0], &parts[1]]);
+        let lean = MicroProgram::new(vec![update(&[0, 2, 3]), search(5), upd1(1, 3, false)]);
+        assert_eq!(
+            window.dead_stores(),
+            3,
+            "a search's two stores and one write"
+        );
+        assert_eq!(window.plan(), lean.plan());
+        assert_ne!(window.plan().ops, lean.plan().ops, "offsets differ");
     }
 
     #[test]
@@ -1245,9 +1486,16 @@ mod window_properties {
             );
 
             // Built from the parts' plans, the window is exactly the
-            // program re-lowering the whole op list gives.
+            // program re-lowering the whole op list gives, op for op with
+            // the side tables resolved.
             let reference = relowered_window(&ops);
-            prop_assert_eq!(fused.plan(), reference.plan(), "plan");
+            let (got, want) = (fused.plan(), reference.plan());
+            prop_assert_eq!(got.ops.len(), want.ops.len(), "plan length");
+            for (a, b) in got.ops.iter().zip(&want.ops) {
+                prop_assert_eq!(got.resolve(a), want.resolve(b), "plan op");
+            }
+            prop_assert_eq!(got.reduces, want.reduces, "reductions");
+            prop_assert_eq!(got, want, "plan");
             prop_assert_eq!(fused.dead_stores(), reference.dead_stores(), "dead stores");
             prop_assert_eq!(fused.len(), reference.len(), "len");
             prop_assert_eq!(fused.sync_points(), reference.sync_points(), "sync points");
@@ -1263,9 +1511,11 @@ mod window_properties {
     /// run the cross-op peepholes over the whole plan.
     fn relowered_window(ops: &[MicroOp]) -> MicroProgram {
         let mut fused = MicroProgram::new(ops.to_vec());
-        let before = store_count(&fused.plan);
-        let plan = dead_store_eliminate_tagged(dedup_tag_combines(fused.plan.to_vec()));
-        fused.dead_stores = (before - store_count(&plan)) as u32;
+        let mut plan = Plan::clone(&fused.plan);
+        let before = store_count(&plan.ops);
+        dedup_tag_combines(&mut plan.ops);
+        dead_store_eliminate_tagged(&mut plan);
+        fused.dead_stores = (before - store_count(&plan.ops)) as u32;
         fused.plan = Arc::new(plan);
         fused
     }

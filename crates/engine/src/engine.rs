@@ -1031,6 +1031,42 @@ halt"
     }
 
     #[test]
+    fn replica_load_with_a_huge_guest_chunk_length_reads_only_the_window() {
+        use cape_isa::{Reg, VReg};
+        let data: Vec<u32> = (1..=8).collect();
+        // Chunk lengths of 2^40 words and i64::MAX words: only the 8
+        // words the window tiles may be fetched, allocated or charged.
+        for (seed, shift) in [(1, 40), (-1, 1)] {
+            let mut builder = cape_isa::Program::builder();
+            builder.li(Reg::T0, seed);
+            if seed > 0 {
+                builder.slli(Reg::T0, Reg::T0, shift);
+            } else {
+                builder.srli(Reg::T0, Reg::T0, shift);
+            }
+            let prog = builder
+                .li(Reg::T1, 8)
+                .vsetvli(Reg::T2, Reg::T1)
+                .li(Reg::A0, 0x1000)
+                .vlrw(VReg::V1, Reg::A0, Reg::T0)
+                .li(Reg::A1, 0x4000)
+                .vse32(VReg::V1, Reg::A1)
+                .halt()
+                .build()
+                .unwrap();
+            let mut mem = MainMemory::new();
+            mem.write_u32_slice(0x1000, &data);
+            let mut e = engine();
+            let id = e.submit(JobSpec::new("vlrw", prog, mem)).unwrap();
+            assert!(e.run_next_batch());
+            let job = e.job_report(id).unwrap();
+            assert!(job.succeeded(), "{:?}", job.error);
+            assert_eq!(job.report.hbm_bytes_read, 8 * 4, "chunk {seed} << {shift}");
+            assert_eq!(e.memory(id).unwrap().read_u32_slice(0x4000, 8), data);
+        }
+    }
+
+    #[test]
     fn inject_fault_without_a_policy_is_a_typed_error_not_a_panic() {
         let mut e = engine();
         assert_eq!(

@@ -122,9 +122,12 @@ impl Vmu {
         hbm_cycles.max(hbm.packets(bytes))
     }
 
-    /// `vlrw.v` — replica vector load: fetch `chunk_len` contiguous
-    /// values starting at `addr` **once**, then tile them across the
-    /// active window. Memory traffic is one chunk regardless of `vl`.
+    /// `vlrw.v` — replica vector load: fetch a `chunk_len`-value chunk
+    /// starting at `addr` **once**, then tile it across the active
+    /// window. Only the `min(chunk_len, vl - vstart)` words the tiling
+    /// uses are read and charged, so memory traffic is at most one chunk
+    /// regardless of `vl`, and a chunk length from the guest never sizes
+    /// a host allocation or the byte count past the window.
     ///
     /// # Panics
     ///
@@ -139,12 +142,12 @@ impl Vmu {
         chunk_len: usize,
     ) -> VmuTransfer {
         assert!(chunk_len > 0, "replica chunk must be non-empty");
-        let chunk = mem.read_u32_slice(addr, chunk_len);
         let (vstart, vl) = (csb.vstart(), csb.vl());
+        let chunk = mem.read_u32_slice(addr, chunk_len.min(vl - vstart));
         // Materialize the tiling once, then deposit it in bulk.
-        let vals: Vec<u32> = (0..vl - vstart).map(|k| chunk[k % chunk_len]).collect();
+        let vals: Vec<u32> = (0..vl - vstart).map(|k| chunk[k % chunk.len()]).collect();
         csb.write_vector_at(vd, vstart, &vals);
-        let bytes = (chunk_len as u64) * 4;
+        let bytes = (chunk.len() as u64) * 4;
         let hbm_cycles = hbm.read(bytes, self.freq_ghz);
         // The replicated chunk is broadcast to all chains; each chain
         // fills its columns locally, one column per cycle.
@@ -210,6 +213,16 @@ mod tests {
             csb.read_vector(2, 12),
             vec![7, 8, 9, 7, 8, 9, 7, 8, 9, 7, 8, 9]
         );
+    }
+
+    #[test]
+    fn replica_load_reads_no_more_of_the_chunk_than_the_window_uses() {
+        let (mut csb, mut mem, mut hbm, vmu) = setup();
+        mem.write_u32_slice(0x100, &[7, 8, 9, 10, 11]);
+        csb.set_active_window(1, 4);
+        let t = vmu.load_replica(&mut csb, &mem, &mut hbm, 2, 0x100, usize::MAX);
+        assert_eq!(t.bytes, 12, "three window elements, three words");
+        assert_eq!(csb.read_vector(2, 4), vec![0, 7, 8, 9]);
     }
 
     #[test]
