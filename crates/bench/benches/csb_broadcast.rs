@@ -119,11 +119,12 @@ fn bench_block_kernels(c: &mut Criterion) {
 
 fn bench_fault_overhead(c: &mut Criterion) {
     // PR 7: clean vs quiescent-armed fault mode over the same whole
-    // instruction. With incremental in-kernel parity the armed path pays
-    // one fused XOR-fold per written row plus an O(touched blocks)
-    // syndrome drain at broadcast boundaries, so the two bars should sit
-    // within a few percent of each other (the old full-rescan model put
-    // the armed bar at ~13x). Recorded in results/bench_pr7.json.
+    // instruction. Both run the same kernels; the armed path also folds
+    // each row the program may write into its parity once before and
+    // once after the plan, plus an O(touched blocks) syndrome drain at
+    // broadcast boundaries, so the two bars should sit within a few
+    // percent of each other (the old full-rescan model put the armed bar
+    // at ~13x). Recorded in results/bench_pr7.json.
     let mut g = c.benchmark_group("fault_overhead");
     g.sample_size(10);
     let chains = 4096usize;

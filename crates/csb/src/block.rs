@@ -166,10 +166,12 @@ fn row_term_hash(s: usize, r: usize, delta: u32) -> u64 {
 /// # Incremental parity (DESIGN.md §15)
 ///
 /// `parity[s][r]` is the XOR-fold of row-slice `rows[s][r]` as seen by
-/// the *write path*: every legitimate mutation — a kernel row write, a
-/// per-lane data-transfer write, a context restore — XOR-folds the old
-/// and new cache line into it, so on a fault-free block
-/// `parity[s][r] == lane_fold(rows[s][r])` at all times. The fault
+/// the *write path*: every legitimate mutation folds its delta into it.
+/// A per-lane data-transfer write and a context restore XOR-fold the old
+/// and new word or cache line; a broadcast on an armed shard folds every
+/// row its plan may write once before and once after the plan
+/// ([`ChainBlock::run_plan`]). So on a fault-free block
+/// `parity[s][r] == lane_fold(rows[s][r])` outside a broadcast. The fault
 /// injectors ([`ChainBlock::flip_bits`], [`ChainBlock::force_bits`],
 /// [`ChainBlock::scramble`]) mutate row data *without* updating parity
 /// (a strike bypasses the write path), creating a per-row mismatch that
@@ -210,30 +212,60 @@ impl ChainBlock {
         }
     }
 
-    /// Executes one lowered microop of `plan` across every lane of the
-    /// block, reading a general search's probes or a general update's
-    /// writes from the plan's tables. Returns the window-masked tag
-    /// popcount summed over the lanes for [`PlanOp::ReduceTags`], `None`
-    /// otherwise. `Read` is a no-op here: row data is chain-local and
-    /// consumers read block state after the program completes.
+    /// Runs every op of `plan` across the block's lanes, adding each
+    /// reduction's lane sum to `sums` in plan order.
     ///
-    /// `PARITY` monomorphizes the row-write kernels: `true` fuses the
-    /// per-row XOR-fold parity update into every write loop (fault mode),
-    /// `false` compiles the exact pre-parity kernels (clean mode keeps
-    /// full speed). The branch is on a const, so each instantiation is
-    /// branch-free.
+    /// With `parity` (an armed shard) the rows the plan may write
+    /// ([`Plan::written_rows`]) are folded into their parity words, in
+    /// every subarray, once before the op loop and once after it. The
+    /// fold is linear, so the two folds move each row's parity word by
+    /// the XOR of the deltas its writes made, exactly what folding every
+    /// write would give; the op loop itself is the clean kernels. Nothing
+    /// strikes between the two folds (injectors run in the fault layer's
+    /// pre- and post-broadcast hooks), so a struck row keeps its
+    /// fold/parity mismatch through any write (DESIGN.md §15).
     ///
     /// This and the kernels it calls are always inlined, so the
     /// broadcast loop over a plan ([`Shard::run`](crate::pool::Shard::run))
     /// compiles to one loop with no call per op, and the match and
     /// lane slices stay in registers.
     #[inline(always)]
-    pub fn execute_plan<const PARITY: bool>(
-        &mut self,
-        op: &PlanOp,
-        plan: &Plan,
-        win: &Lanes,
-    ) -> Option<u64> {
+    pub fn run_plan(&mut self, plan: &Plan, win: &Lanes, parity: bool, sums: &mut [u64]) {
+        if parity {
+            self.fold_parity(plan.written_rows);
+        }
+        let mut k = 0;
+        for op in &plan.ops {
+            if let Some(r) = self.execute_plan(op, plan, win) {
+                sums[k] += r;
+                k += 1;
+            }
+        }
+        if parity {
+            self.fold_parity(plan.written_rows);
+        }
+    }
+
+    /// XORs the lane fold of every row in `rows`, in every subarray,
+    /// into the row's parity word.
+    fn fold_parity(&mut self, rows: u64) {
+        for (sub, parity) in self.rows.iter().zip(&mut self.parity) {
+            for r in row_runs(rows).flatten() {
+                parity[r] ^= lane_fold(&sub[r]);
+            }
+        }
+    }
+
+    /// Executes one lowered microop of `plan` across every lane of the
+    /// block, reading a general search's probes or a general update's
+    /// writes from the plan's tables. Returns the window-masked tag
+    /// popcount summed over the lanes for [`PlanOp::ReduceTags`], `None`
+    /// otherwise. `Read` is a no-op here: row data is chain-local and
+    /// consumers read block state after the program completes. Row
+    /// writes leave the parity words alone: [`ChainBlock::run_plan`]
+    /// folds them around the whole plan on an armed shard.
+    #[inline(always)]
+    fn execute_plan(&mut self, op: &PlanOp, plan: &Plan, win: &Lanes) -> Option<u64> {
         match *op {
             PlanOp::SearchOne { probe, dest, mode } => {
                 let m = self.probe_match(&probe, win);
@@ -249,9 +281,9 @@ impl ChainBlock {
             } => {
                 let m = self.probe_match(&probe, win);
                 self.accumulate(probe.subarray as usize, &m, dest, mode, win);
-                self.plan_write::<PARITY>(&writes[0], win);
+                self.plan_write(&writes[0], win);
                 if nwrites == 2 {
-                    self.plan_write::<PARITY>(&writes[1], win);
+                    self.plan_write(&writes[1], win);
                 }
                 None
             }
@@ -277,12 +309,12 @@ impl ChainBlock {
                 None
             }
             PlanOp::UpdateOne { write } => {
-                self.plan_write::<PARITY>(&write, win);
+                self.plan_write(&write, win);
                 None
             }
             PlanOp::UpdateTwo { writes } => {
-                self.plan_write::<PARITY>(&writes[0], win);
-                self.plan_write::<PARITY>(&writes[1], win);
+                self.plan_write(&writes[0], win);
+                self.plan_write(&writes[1], win);
                 None
             }
             PlanOp::Update { at, n } => {
@@ -292,7 +324,7 @@ impl ChainBlock {
                     "update writes two rows of one subarray"
                 );
                 for w in writes {
-                    self.plan_write::<PARITY>(w, win);
+                    self.plan_write(w, win);
                 }
                 None
             }
@@ -304,19 +336,9 @@ impl ChainBlock {
                 mask,
             } => {
                 let r = &mut self.rows[subarray as usize][row as usize];
-                if PARITY {
-                    let mut delta = 0u32;
-                    for l in 0..BLOCK_LANES {
-                        let m = mask & win[l];
-                        delta ^= (r[l] ^ data) & m;
-                        r[l] = (r[l] & !m) | (data & m);
-                    }
-                    self.parity[subarray as usize][row as usize] ^= delta;
-                } else {
-                    for l in 0..BLOCK_LANES {
-                        let m = mask & win[l];
-                        r[l] = (r[l] & !m) | (data & m);
-                    }
+                for l in 0..BLOCK_LANES {
+                    let m = mask & win[l];
+                    r[l] = (r[l] & !m) | (data & m);
                 }
                 None
             }
@@ -407,12 +429,9 @@ impl ChainBlock {
     }
 
     /// One lowered row write across the block: `sel` picks the per-lane
-    /// column source (window, tags or accumulator of `src`). With
-    /// `PARITY` the XOR-fold of the changed bits (`cols & !row` for a
-    /// set, `cols & row` for a clear) folds into the row's parity word —
-    /// one extra XOR per lane word, branchless alongside the write.
+    /// column source (window, tags or accumulator of `src`).
     #[inline(always)]
-    fn plan_write<const PARITY: bool>(&mut self, w: &PlanWrite, win: &Lanes) {
+    fn plan_write(&mut self, w: &PlanWrite, win: &Lanes) {
         let mut cols = *win;
         match w.sel {
             1 => {
@@ -430,21 +449,7 @@ impl ChainBlock {
             _ => {}
         }
         let row = &mut self.rows[w.subarray as usize][w.row as usize];
-        if PARITY {
-            let mut delta = 0u32;
-            if w.value {
-                for l in 0..BLOCK_LANES {
-                    delta ^= cols[l] & !row[l];
-                    row[l] |= cols[l];
-                }
-            } else {
-                for l in 0..BLOCK_LANES {
-                    delta ^= cols[l] & row[l];
-                    row[l] &= !cols[l];
-                }
-            }
-            self.parity[w.subarray as usize][w.row as usize] ^= delta;
-        } else if w.value {
+        if w.value {
             for l in 0..BLOCK_LANES {
                 row[l] |= cols[l];
             }
@@ -918,20 +923,17 @@ mod tests {
         ]
     }
 
-    /// Runs the lowered plan on the block and the original microops on
-    /// the per-lane reference chains (skipping power-gated lanes), then
-    /// asserts bit-exact state and identical reduction sums.
+    /// Runs the lowered plan on the block, armed, and the original
+    /// microops on the per-lane reference chains (skipping power-gated
+    /// lanes), then asserts bit-exact state, identical reduction sums and
+    /// parity that the per-broadcast fold kept exact.
     fn assert_block_matches_reference(win: Lanes, seed: u32) {
         let (mut block, mut chains) = seeded_pair(seed);
         let program = MicroProgram::new(sample_ops());
         let plan = program.plan();
 
-        let mut block_sums = Vec::new();
-        for op in &plan.ops {
-            if let Some(s) = block.execute_plan::<true>(op, plan, &win) {
-                block_sums.push(s);
-            }
-        }
+        let mut block_sums = vec![0; plan.reduces];
+        block.run_plan(plan, &win, true, &mut block_sums);
         assert!(
             block.parity_consistent(),
             "legit execution broke parity (seed {seed})"
@@ -989,30 +991,10 @@ mod tests {
         let mut win = [u32::MAX; BLOCK_LANES];
         win[4] = 0;
         let program = MicroProgram::new(sample_ops());
-        for op in &program.plan().ops {
-            block.execute_plan::<false>(op, program.plan(), &win);
-        }
+        let plan = program.plan();
+        block.run_plan(plan, &win, false, &mut vec![0; plan.reduces]);
         assert_eq!(block.to_chain(4), before, "gated lane must not change");
         drop(chains);
-    }
-
-    #[test]
-    fn parity_off_and_on_kernels_are_bit_identical() {
-        let win = [0x0F0F_F0F0u32; BLOCK_LANES];
-        let (mut with, _) = seeded_pair(0x7A51);
-        let (mut without, _) = seeded_pair(0x7A51);
-        let program = MicroProgram::new(sample_ops());
-        let plan = program.plan();
-        for op in &plan.ops {
-            assert_eq!(
-                with.execute_plan::<true>(op, plan, &win),
-                without.execute_plan::<false>(op, plan, &win)
-            );
-        }
-        for lane in 0..BLOCK_LANES {
-            assert_eq!(with.to_chain(lane), without.to_chain(lane), "lane {lane}");
-        }
-        assert!(with.parity_consistent());
     }
 
     #[test]
@@ -1026,13 +1008,14 @@ mod tests {
         // A legitimate full overwrite of the struck row shifts data and
         // parity by the same delta: the mismatch (and syndrome) persist.
         let win = [u32::MAX; BLOCK_LANES];
-        let op = PlanOp::Write {
+        let plan = Plan::lower(&[MicroOp::Write {
             subarray: 7,
             row: 5,
             data: 0xFFFF_FFFF,
             mask: u32::MAX,
-        };
-        block.execute_plan::<true>(&op, &Plan::default(), &win);
+        }]);
+        block.run_plan(&plan, &win, true, &mut []);
+        assert_eq!(block.rows[7][5], [u32::MAX; BLOCK_LANES]);
         assert_ne!(block.syndrome(), 0, "overwrite must not absorb the strike");
         assert_eq!(block.struck_rows(), vec![(7, 5)]);
         // Rebuild (quarantine/remap path) clears it.

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::block::{image_words, images_equal, ALL_ROWS, BLOCK_LANES, ZERO_IMAGE};
+use crate::block::{image_words, images_equal, BLOCK_LANES, ZERO_IMAGE};
 use crate::chain::Chain;
 use crate::fault::{
     FaultConfig, FaultKind, FaultLayer, FaultStats, RemapOutcome, ScrubReport, StruckRow,
@@ -121,11 +121,10 @@ pub struct Csb {
     /// full speed with injection disabled.
     fault: Option<Box<FaultLayer>>,
     /// Live-row mask over the row indices: a row whose bit is clear is
-    /// zero in every subarray and lane of every block. Broadcasts and
-    /// data transfers OR in the rows they write, and a restore sets it
-    /// to the snapshot's rows, so a context switch copies only these.
-    /// While the fault layer is armed every row counts as live
-    /// ([`Csb::live_rows`]): injectors write rows it cannot see.
+    /// zero in every subarray and lane of every block. Broadcasts, data
+    /// transfers and the fault layer's injectors OR in the rows they
+    /// write, and a restore sets it to the snapshot's rows, so a context
+    /// switch copies only these, armed or not.
     live_rows: u64,
 }
 
@@ -259,6 +258,7 @@ impl Csb {
         self.live_rows |= program.written_rows();
         if let Some(f) = self.fault.as_deref_mut() {
             f.pre_broadcast(&mut self.shards);
+            self.live_rows |= f.take_rows_written();
         }
         if self.use_pool() {
             self.pool.run(&mut self.shards, &program.plan_arc());
@@ -275,6 +275,7 @@ impl Csb {
         }
         if let Some(f) = self.fault.as_deref_mut() {
             f.post_broadcast(&mut self.shards);
+            self.live_rows |= f.take_rows_written();
         }
         sums
     }
@@ -460,27 +461,17 @@ impl Csb {
         self.shards[s].window(j)
     }
 
-    /// The live-row mask: every row index while the fault layer is armed
-    /// (injectors and stuck-at re-assertion write rows the mask cannot
-    /// see), the tracked mask otherwise.
-    fn live_rows(&self) -> u64 {
-        if self.fault.is_some() {
-            ALL_ROWS
-        } else {
-            self.live_rows
-        }
-    }
-
     /// Captures the register-file image of every chain — vector
     /// registers, metadata rows and match registers — as straight copies
     /// of each block's live row-slices and its tag and accumulator
     /// slices into one pre-sized allocation. Only the rows in
     /// the live-row mask are copied: every other row is zero, and the
     /// snapshot records the mask so a restore reads them back as zero.
-    /// With the fault layer armed every row is live and the image is the
-    /// full register file.
+    /// With the fault layer armed the mask also holds every row an
+    /// injector struck, so the image is what a clean CSB would save plus
+    /// those rows.
     pub fn save_registers(&self) -> CsbSnapshot {
-        let rows = self.live_rows();
+        let rows = self.live_rows;
         debug_assert_eq!(
             self.shards.iter().fold(0, |r, s| r | s.nonzero_rows()) & !rows,
             0,
@@ -507,13 +498,15 @@ impl Csb {
     /// [`CsbSnapshot::zeroed`] wipes the live rows and the match
     /// registers back to fresh-machine state.
     ///
-    /// With the fault layer armed this costs *no* parity rescan: every
-    /// row is live, and each rewritten row XOR-folds its old and new lane
-    /// fold into its parity word, the same delta the write path applies,
-    /// so per-row parity tracks the restored image exactly, and any
-    /// strike that landed before the restore keeps its fold/parity
-    /// mismatch through the overwrite. Multi-tenant slice switches
-    /// therefore pay only the register copy.
+    /// With the fault layer armed this costs *no* parity rescan: each
+    /// rewritten row XOR-folds its old and new lane fold into its parity
+    /// word, the same delta a broadcast folds, so per-row parity tracks
+    /// the restored image exactly. A struck row is in the live-row mask
+    /// (injectors add the rows they write), so the restore rewrites it
+    /// too and the strike keeps its fold/parity mismatch through the
+    /// overwrite; a row outside both masks is zero and its parity word
+    /// is untouched. Multi-tenant slice switches therefore pay only the
+    /// copy of the live rows, as on a clean CSB.
     ///
     /// # Panics
     ///
@@ -524,7 +517,7 @@ impl Csb {
             self.geometry.num_chains(),
             "snapshot geometry does not match this CSB"
         );
-        let (held, rewrite) = (snapshot.rows, self.live_rows() | snapshot.rows);
+        let (held, rewrite) = (snapshot.rows, self.live_rows | snapshot.rows);
         let mut images = (0..snapshot.num_chains.div_ceil(BLOCK_LANES)).map(|b| snapshot.block(b));
         for shard in &mut self.shards {
             shard.load_image(&mut images, held, rewrite);
@@ -571,7 +564,9 @@ impl Csb {
     /// Returns `None` while injection is disabled.
     pub fn scrub(&mut self) -> Option<ScrubReport> {
         let f = self.fault.as_deref_mut()?;
-        Some(f.scrub(&mut self.shards))
+        let report = f.scrub(&mut self.shards);
+        self.live_rows |= f.take_rows_written();
+        Some(report)
     }
 
     /// Quarantines every flagged block while spares last, each spare
@@ -619,6 +614,7 @@ impl Csb {
             .as_deref_mut()
             .expect("enable_fault_injection first");
         f.inject_now(&mut self.shards, i / BLOCK_LANES, kind);
+        self.live_rows |= f.take_rows_written();
     }
 
     /// Unused spare blocks remaining (0 while injection is disabled).
@@ -626,9 +622,9 @@ impl Csb {
         self.fault.as_deref().map_or(0, FaultLayer::spares_free)
     }
 
-    /// Blocks quarantined so far.
+    /// Blocks quarantined so far, each one taken over by a spare.
     pub fn quarantined_blocks(&self) -> usize {
-        self.fault_stats().blocks_quarantined as usize
+        self.fault_stats().blocks_remapped as usize
     }
 
     /// Row-granular localizations of every strike flagged so far: the
@@ -644,8 +640,8 @@ impl Csb {
 
     /// Test hook: true when every block's incrementally maintained
     /// per-row parity equals a from-scratch recompute and all syndromes
-    /// are zero. Vacuously true while the fault layer is off (the clean
-    /// kernels do not maintain parity).
+    /// are zero. Vacuously true while the fault layer is off (an unarmed
+    /// broadcast does not fold parity).
     pub fn parity_consistent(&self) -> bool {
         self.fault.is_none() || self.shards.iter().all(Shard::parity_consistent)
     }
@@ -1170,6 +1166,54 @@ mod tests {
     }
 
     #[test]
+    fn armed_switch_copies_the_clean_rows_plus_the_struck_ones() {
+        let data: Vec<u32> = (0..128u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        let (mut clean, mut armed) = (small(), armed(4, 1));
+        for csb in [&mut clean, &mut armed] {
+            csb.write_vector(3, &data);
+            csb.execute(&search1(0, 3, true));
+            csb.execute(&MicroOp::Update {
+                writes: vec![WriteSpec {
+                    subarray: 1,
+                    row: 3,
+                    value: false,
+                    cols: ColSel::Tags(0),
+                }],
+            });
+        }
+        // Arming adds no live row: the image is the unarmed twin's.
+        let (a, c) = (armed.save_registers(), clean.save_registers());
+        assert_eq!(a.rows, 1 << 3);
+        assert_eq!((a.rows, &a.image), (c.rows, &c.image));
+        // A strike on row 20, which the tenant never wrote, joins the
+        // mask, so the next save copies it.
+        armed.inject_fault(
+            1,
+            FaultKind::Transient {
+                lane: 1,
+                subarray: 9,
+                row: 20,
+                mask: 0x0004_0000,
+                late: false,
+            },
+        );
+        assert_eq!(armed.save_registers().rows, 1 << 3 | 1 << 20);
+        // A wipe zeroes the struck row through the parity fold: its
+        // mismatch survives, and scrub localizes it to that row.
+        armed.restore_registers(&CsbSnapshot::zeroed(armed.geometry()));
+        assert_eq!(armed.save_registers().rows, 0);
+        assert_eq!(armed.scrub().unwrap().pending, 1);
+        assert_eq!(
+            armed.struck_rows(),
+            vec![StruckRow {
+                block: 0,
+                subarray: 9,
+                row: 20,
+            }]
+        );
+    }
+
+    #[test]
     fn out_of_spares_keeps_block_flagged_forever() {
         let mut csb = armed(4, 0);
         csb.inject_fault(
@@ -1314,7 +1358,7 @@ mod tests {
         assert!(csb.service_spares(1).fully_recovered());
         assert_eq!((csb.pending_faults(), csb.spare_blocks_free()), (0, 0));
         let stats = csb.fault_stats();
-        assert_eq!((stats.blocks_quarantined, stats.blocks_remapped), (3, 3));
+        assert_eq!(stats.blocks_remapped, 3);
         assert!(stats.fully_accounted(), "{stats:?}");
     }
 

@@ -9,12 +9,12 @@
 //!
 //! 1. **Incremental per-row parity** — every row-slice of every armed
 //!    block carries a parity word the *write path itself* maintains
-//!    (the parity fold is fused into the block kernels; see
-//!    DESIGN.md §15). Injectors bypass that path, creating a per-row
-//!    fold/parity mismatch that legitimate writes provably preserve, and
-//!    update a one-word per-block *syndrome* at the strike site — the
-//!    O(1 cache line) in-array check a real substrate evaluates on the
-//!    row it disturbs. Detection is therefore an O(touched blocks)
+//!    (each broadcast folds the rows it may write before and after its
+//!    plan; see DESIGN.md §15). Injectors bypass that path, creating a
+//!    per-row fold/parity mismatch that legitimate writes provably
+//!    preserve, and update a one-word per-block *syndrome* at the
+//!    strike site — the O(1 cache line) in-array check a real substrate
+//!    evaluates on the row it disturbs. Detection is therefore an O(touched blocks)
 //!    dirty-event drain plus a one-word syndrome read, not a rescan of
 //!    every block, and a nonzero syndrome localizes to the exact struck
 //!    `(subarray, row)` coordinates. The drain runs before every
@@ -50,12 +50,18 @@
 //! budget and the detection order do not depend on how many worker
 //! shards the host's thread count cuts.
 //!
+//! Injectors also record the rows they write, and the CSB adds them to
+//! its live-row mask after every call into this layer, so a context
+//! switch copies the struck rows and nothing else the tenant left zero.
+//!
 //! The whole layer is `Option`-wrapped inside [`Csb`](crate::Csb):
 //! disabled, the broadcast hot path pays exactly one `is_some()` branch
-//! per *program* (not per microop) and the shards run the parity-free
-//! kernel instantiation, so the PR 4 kernels keep full speed.
+//! per *program* (not per microop) and the shards skip the per-broadcast
+//! parity fold. Armed and clean shards run the same kernels: an armed
+//! block folds the rows a broadcast may write into their parity once
+//! before and once after the plan, never inside its op loop.
 
-use crate::block::{ChainBlock, BLOCK_LANES};
+use crate::block::{ChainBlock, ALL_ROWS, BLOCK_LANES};
 use crate::geometry::SUBARRAYS_PER_CHAIN;
 use crate::pool::Shard;
 use crate::subarray::TOTAL_ROWS;
@@ -205,9 +211,7 @@ pub struct FaultStats {
     pub faults_attributed: u64,
     /// Explicit scrub passes run.
     pub scrubs: u64,
-    /// Blocks quarantined.
-    pub blocks_quarantined: u64,
-    /// Quarantined blocks whose chains a spare took over.
+    /// Blocks quarantined: a spare took over each one's chains.
     pub blocks_remapped: u64,
 }
 
@@ -295,6 +299,9 @@ pub(crate) struct FaultLayer {
     /// Row-granular localization of every flagged strike, in detection
     /// order (bounded by `max_faults` × rows-per-strike).
     struck: Vec<StruckRow>,
+    /// Rows an injector wrote since the CSB last took them
+    /// ([`FaultLayer::take_rows_written`]), as a mask over row indices.
+    rows_written: u64,
     stats: FaultStats,
 }
 
@@ -322,8 +329,17 @@ impl FaultLayer {
             faults: Vec::new(),
             late_strikes: Vec::new(),
             struck: Vec::new(),
+            rows_written: 0,
             stats: FaultStats::default(),
         }
+    }
+
+    /// The rows injectors wrote since the last call, cleared: a strike,
+    /// a stuck-at that changed its word, or a dead block's scramble (all
+    /// rows). The CSB ORs them into its live-row mask after every call
+    /// into this layer.
+    pub fn take_rows_written(&mut self) -> u64 {
+        std::mem::take(&mut self.rows_written)
     }
 
     pub fn stats(&self) -> FaultStats {
@@ -382,8 +398,8 @@ impl FaultLayer {
     /// Post-broadcast hook: lands the late transient strikes. Each one
     /// queues its block in the dirty set, so the next scan — before the
     /// next broadcast or in the next scrub — flags it. No baseline
-    /// refresh exists: the kernels maintained parity in place during the
-    /// broadcast.
+    /// refresh exists: the broadcast folded the rows it wrote into their
+    /// parity before this hook runs.
     pub fn post_broadcast(&mut self, shards: &mut [Shard]) {
         for rec in std::mem::take(&mut self.late_strikes) {
             self.land_transient(shards, rec);
@@ -407,6 +423,7 @@ impl FaultLayer {
         let b = rec.block;
         self.block(shards, b)
             .flip_bits(lane as usize, subarray as usize, row as usize, mask);
+        self.rows_written |= 1 << row;
         self.touch(b);
         self.stats.injected_transient += 1;
         if self.flagged[b] {
@@ -493,7 +510,6 @@ impl FaultLayer {
             self.late_strikes.retain(|f| f.block != b);
             self.dirty.retain(|&d| d != b);
             self.flagged[b] = false;
-            self.stats.blocks_quarantined += 1;
             self.stats.blocks_remapped += 1;
             outcome.remapped += 1;
         }
@@ -605,12 +621,14 @@ impl FaultLayer {
                     let block = self.block(shards, b);
                     if block.force_bits(lane as usize, subarray as usize, row as usize, mask, value)
                     {
+                        self.rows_written |= 1 << row;
                         self.touch(b);
                     }
                 }
                 FaultKind::DeadBlock => {
                     let seed = self.next() as u32 | 1;
                     self.block(shards, b).scramble(seed);
+                    self.rows_written = ALL_ROWS;
                     self.touch(b);
                 }
                 FaultKind::Transient { .. } => {}

@@ -50,9 +50,10 @@ pub(crate) struct Shard {
     active_blocks: Vec<u32>,
     active_dirty: bool,
     nchains: usize,
-    /// True once the fault layer armed this shard: broadcasts run the
-    /// parity-fused kernel instantiation, so a worker thread maintains
-    /// the parity of the shard it owns with no shared state.
+    /// True once the fault layer armed this shard: each block folds the
+    /// rows a broadcast may write into their parity around the plan, so
+    /// a worker thread maintains the parity of the shard it owns with no
+    /// shared state.
     parity_on: bool,
     pub sums: Vec<u64>,
 }
@@ -141,42 +142,26 @@ impl Shard {
     /// vectorized sweep over the block's [`BLOCK_LANES`] chains.
     /// Reduction order across chains changes, but the partial sums are
     /// plain additions, so the totals are identical.
-    /// Branches once per program on the shard's parity mode so the hot
-    /// loop runs a fully monomorphized kernel set: the clean path stays
-    /// byte-for-byte the pre-parity kernels, the fault path fuses the
-    /// per-row parity fold into every write.
+    ///
+    /// The block kernels are inlined into this loop
+    /// ([`ChainBlock::run_plan`]), so a plan op costs its lane sweeps and
+    /// one dispatch, and only a reduction yields a sum. Armed and clean
+    /// shards run the same kernels; an armed one also folds the written
+    /// rows into their parity before and after each block's plan.
     pub fn run(&mut self, plan: &Plan) {
         self.refresh_active();
-        if self.parity_on {
-            self.run_plan::<true>(plan);
-        } else {
-            self.run_plan::<false>(plan);
-        }
-    }
-
-    /// The broadcast loop: the block kernels are inlined into it
-    /// ([`ChainBlock::execute_plan`]), so a plan op costs its lane
-    /// sweeps and one dispatch, and only a reduction yields a sum.
-    fn run_plan<const PARITY: bool>(&mut self, plan: &Plan) {
         let Shard {
             blocks,
             windows,
             active_blocks,
+            parity_on,
             sums,
             ..
         } = self;
         sums.clear();
         sums.resize(plan.reduces, 0);
         for &b in active_blocks.iter() {
-            let block = &mut blocks[b as usize];
-            let win = &windows[b as usize];
-            let mut k = 0;
-            for op in &plan.ops {
-                if let Some(r) = block.execute_plan::<PARITY>(op, plan, win) {
-                    sums[k] += r;
-                    k += 1;
-                }
-            }
+            blocks[b as usize].run_plan(plan, &windows[b as usize], *parity_on, sums);
         }
     }
 
@@ -306,8 +291,8 @@ impl Shard {
 
     /// Arms incremental parity on this shard: every block's per-row
     /// parity words are rebuilt from current data (the one full pass,
-    /// paid at arming time only), and from here on broadcasts run the
-    /// parity-fused kernels.
+    /// paid at arming time only), and from here on every broadcast folds
+    /// the rows it may write into their parity.
     pub fn enable_parity(&mut self) {
         for b in self.blocks.iter_mut() {
             b.rebuild_parity();

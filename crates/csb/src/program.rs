@@ -160,7 +160,8 @@ impl PlanOp {
 }
 
 /// A lowered broadcast plan: the op list, the side tables its general
-/// searches and updates index, and how many reductions it produces.
+/// searches and updates index, how many reductions it produces and
+/// which rows it may write.
 ///
 /// Its ops and table entries are flat `Copy` data, so a window's plan is
 /// its parts' vectors copied end to end with the offsets shifted, and a
@@ -180,6 +181,13 @@ pub(crate) struct Plan {
     /// The number of [`PlanOp::ReduceTags`] in `ops`: the length of the
     /// sum vector one broadcast returns.
     pub reduces: usize,
+    /// Bit `r` is set when a lowered [`MicroOp::Update`] or
+    /// [`MicroOp::Write`] writes row `r` of some subarray. Taken from the
+    /// ops as lowered, before any window pass drops a write, so it covers
+    /// every row the plan can write: an armed shard folds these rows
+    /// into their parity around each broadcast (see
+    /// [`ChainBlock::run_plan`](crate::block::ChainBlock::run_plan)).
+    pub written_rows: u64,
 }
 
 /// A plan op with its table entries resolved: what it does, wherever
@@ -279,6 +287,7 @@ impl Plan {
             probes: Vec::with_capacity(parts.clone().map(|p| p.probes.len()).sum()),
             writes: Vec::with_capacity(parts.clone().map(|p| p.writes.len()).sum()),
             reduces: 0,
+            written_rows: 0,
         };
         for part in parts {
             let probes = table_offset(plan.probes.len());
@@ -288,6 +297,7 @@ impl Plan {
             plan.ops
                 .extend(part.ops.iter().map(|op| op.shifted(probes, writes)));
             plan.reduces += part.reduces;
+            plan.written_rows |= part.written_rows;
         }
         plan
     }
@@ -325,7 +335,6 @@ fn lower_write(w: &WriteSpec) -> PlanWrite {
         "subarray {} out of range",
         w.subarray
     );
-    assert!(w.row < TOTAL_ROWS, "row {} out of range", w.row);
     let (sel, src) = match w.cols {
         crate::microop::ColSel::Window => (0u8, 0usize),
         crate::microop::ColSel::Tags(s) => (1, s),
@@ -715,6 +724,8 @@ impl Plan {
                         w.subarray
                     );
                     seen |= bit;
+                    assert!(w.row < TOTAL_ROWS, "row {} out of range", w.row);
+                    self.written_rows |= 1 << w.row;
                 }
                 match writes.as_slice() {
                     [w] => PlanOp::UpdateOne {
@@ -747,6 +758,7 @@ impl Plan {
                 mask,
             } => {
                 assert!(*row < TOTAL_ROWS, "row {row} out of range");
+                self.written_rows |= 1 << row;
                 PlanOp::Write {
                     subarray: check_index(*subarray),
                     row: *row as u8,
@@ -790,10 +802,6 @@ pub struct MicroProgram {
     /// plan relative to plain concatenation — compile-time metadata, so
     /// cached windows keep reporting their win on every execution.
     dead_stores: u32,
-    /// Bit `r` is set when an op writes row `r` of some subarray
-    /// ([`MicroOp::Update`] writes and [`MicroOp::Write`]). Taken from
-    /// the op list, so it covers every row the plan can write.
-    written_rows: u64,
     /// The op list's classification, computed once here.
     stats: MicroOpStats,
 }
@@ -830,11 +838,6 @@ impl MicroProgram {
             .collect();
         let mut plan = Plan::lower(&ops);
         fuse_steps(&mut plan.ops);
-        let written_rows = ops.iter().fold(0u64, |rows, op| match op {
-            MicroOp::Update { writes } => writes.iter().fold(rows, |rows, w| rows | 1 << w.row),
-            MicroOp::Write { row, .. } => rows | 1 << row,
-            _ => rows,
-        });
         let mut stats = MicroOpStats::new();
         for op in &ops {
             let (kind, bp) = op.classify();
@@ -845,7 +848,6 @@ impl MicroProgram {
             plan: Arc::new(plan),
             sync_points,
             dead_stores: 0,
-            written_rows,
             stats,
         }
     }
@@ -888,7 +890,6 @@ impl MicroProgram {
             dead_stores: (before - store_count(&plan.ops)) as u32,
             plan: Arc::new(plan),
             sync_points: Vec::new(),
-            written_rows: 0,
             stats: MicroOpStats::new(),
         };
         let mut base = 0;
@@ -900,7 +901,6 @@ impl MicroProgram {
                     kind: s.kind,
                 }));
             fused.dead_stores += p.dead_stores;
-            fused.written_rows |= p.written_rows;
             fused.stats.merge(&p.stats);
             base += p.len();
         }
@@ -916,9 +916,10 @@ impl MicroProgram {
     }
 
     /// The rows this program may write, as a bit mask over row indices
-    /// (see [`Csb`](crate::Csb)'s live-row mask).
+    /// (see [`Csb`](crate::Csb)'s live-row mask): the plan's
+    /// `written_rows`, which for a window is the OR of its parts'.
     pub(crate) fn written_rows(&self) -> u64 {
-        self.written_rows
+        self.plan.written_rows
     }
 
     /// The microops in broadcast order. A window yields its parts' ops
@@ -1350,6 +1351,18 @@ mod window_properties {
         csb
     }
 
+    /// A written or read `(subarray, row)` cell: anywhere half the time,
+    /// one of twelve cells (subarrays 0..6, rows 0..2) otherwise, so a
+    /// later window or full-mask write often covers an earlier one and
+    /// the dead-store pass drops some writes of a general update while
+    /// keeping three or more.
+    fn arb_cell() -> impl Strategy<Value = (usize, usize)> {
+        prop_oneof![
+            (0..SUBARRAYS_PER_CHAIN, 0..TOTAL_ROWS),
+            (0..6usize, 0..2usize),
+        ]
+    }
+
     fn arb_probe() -> impl Strategy<Value = Probe> {
         (
             0..SUBARRAYS_PER_CHAIN,
@@ -1366,8 +1379,12 @@ mod window_properties {
         prop_oneof![Just(TagDest::Tags), Just(TagDest::Acc)]
     }
 
+    /// Window writes three times in five: of an update's writes, only
+    /// they cover earlier writes.
     fn arb_colsel() -> impl Strategy<Value = ColSel> {
         prop_oneof![
+            Just(ColSel::Window),
+            Just(ColSel::Window),
             Just(ColSel::Window),
             (0..SUBARRAYS_PER_CHAIN).prop_map(ColSel::Tags),
             (0..SUBARRAYS_PER_CHAIN).prop_map(ColSel::Acc),
@@ -1375,35 +1392,28 @@ mod window_properties {
     }
 
     fn arb_update() -> impl Strategy<Value = MicroOp> {
-        proptest::collection::vec(
-            (
-                0..SUBARRAYS_PER_CHAIN,
-                0..TOTAL_ROWS,
-                any::<bool>(),
-                arb_colsel(),
-            ),
-            1..=4,
+        proptest::collection::vec((arb_cell(), any::<bool>(), arb_colsel()), 1..=8).prop_map(
+            |raw| {
+                // The hardware writes at most one row per subarray per update.
+                let mut seen = 0u64;
+                let writes: Vec<WriteSpec> = raw
+                    .into_iter()
+                    .filter(|((sub, _), ..)| {
+                        let bit = 1u64 << sub;
+                        let fresh = seen & bit == 0;
+                        seen |= bit;
+                        fresh
+                    })
+                    .map(|((subarray, row), value, cols)| WriteSpec {
+                        subarray,
+                        row,
+                        value,
+                        cols,
+                    })
+                    .collect();
+                MicroOp::Update { writes }
+            },
         )
-        .prop_map(|raw| {
-            // The hardware writes at most one row per subarray per update.
-            let mut seen = 0u64;
-            let writes: Vec<WriteSpec> = raw
-                .into_iter()
-                .filter(|(sub, ..)| {
-                    let bit = 1u64 << sub;
-                    let fresh = seen & bit == 0;
-                    seen |= bit;
-                    fresh
-                })
-                .map(|(subarray, row, value, cols)| WriteSpec {
-                    subarray,
-                    row,
-                    value,
-                    cols,
-                })
-                .collect();
-            MicroOp::Update { writes }
-        })
     }
 
     fn arb_op() -> impl Strategy<Value = MicroOp> {
@@ -1421,19 +1431,19 @@ mod window_properties {
                     mode,
                 }),
             arb_update(),
-            (0..SUBARRAYS_PER_CHAIN, 0..TOTAL_ROWS)
-                .prop_map(|(subarray, row)| MicroOp::Read { subarray, row }),
+            arb_cell().prop_map(|(subarray, row)| MicroOp::Read { subarray, row }),
             (
-                0..SUBARRAYS_PER_CHAIN,
-                0..TOTAL_ROWS,
+                arb_cell(),
                 any::<u32>(),
-                any::<u32>()
+                prop_oneof![any::<u32>(), Just(u32::MAX)]
             )
-                .prop_map(|(subarray, row, data, mask)| MicroOp::Write {
-                    subarray,
-                    row,
-                    data,
-                    mask,
+                .prop_map(|((subarray, row), data, mask)| {
+                    MicroOp::Write {
+                        subarray,
+                        row,
+                        data,
+                        mask,
+                    }
                 }),
             (0..SUBARRAYS_PER_CHAIN).prop_map(|subarray| MicroOp::ReduceTags { subarray }),
             (0..SUBARRAYS_PER_CHAIN, 0..SUBARRAYS_PER_CHAIN, arb_mode())

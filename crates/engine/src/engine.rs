@@ -951,7 +951,7 @@ halt"
         assert!(report.fault.blocks_remapped >= 1);
         assert_eq!(
             report.quarantined_blocks,
-            report.fault.blocks_quarantined as usize
+            report.fault.blocks_remapped as usize
         );
     }
 

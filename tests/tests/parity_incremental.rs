@@ -1,12 +1,13 @@
-//! PR 7 parity-maintenance properties: the per-row parity words that the
-//! block kernels maintain *incrementally* (one fused XOR-fold per write)
-//! must always equal a from-scratch recompute over the row data — for
-//! every vector operation, every SEW, masked/tail windows, arbitrary
-//! operation sequences, and across a mid-sequence `save_registers` /
-//! `restore_registers` round-trip. [`Csb::parity_consistent`] *is* that
-//! recompute: it folds every live row and compares against the stored
-//! parity word, so any kernel that forgets (or double-counts) a delta
-//! fails here immediately.
+//! PR 7 parity-maintenance properties: the per-row parity words that an
+//! armed CSB maintains *incrementally* (each broadcast XOR-folds the rows
+//! it may write before and after its plan; transfers and restores fold
+//! each write) must equal a from-scratch recompute over the row data
+//! after every program — for every vector operation, every SEW,
+//! masked/tail windows, arbitrary operation sequences, and across a
+//! mid-sequence `save_registers` / `restore_registers` round-trip.
+//! [`Csb::parity_consistent`] *is* that recompute: it folds every row and
+//! compares against the stored parity word, so a broadcast that misses a
+//! written row (or folds one twice) fails here immediately.
 //!
 //! Also pins the two fault-layer behaviours the incremental scheme must
 //! preserve: a strike is localized to exactly the struck subarray row,
@@ -167,7 +168,7 @@ fn all_ops() -> Vec<VectorOp> {
 
 /// A CSB with deterministic pseudorandom register contents, a mask in
 /// v0 and sparse bits in v4, with the fault layer armed quiescent so
-/// the kernels run their parity-maintaining (`PARITY = true`) paths.
+/// every broadcast folds the rows it writes into their parity.
 fn armed_csb() -> Csb {
     let mut csb = Csb::new(CsbGeometry::new(CHAINS));
     seed_registers(&mut csb);
@@ -342,7 +343,7 @@ fn every_heal_spends_one_spare_until_none_are_left() {
     }
     assert_eq!(csb.pending_faults(), 1);
     let stats = csb.fault_stats();
-    assert_eq!((stats.blocks_quarantined, stats.blocks_remapped), (3, 3));
+    assert_eq!(stats.blocks_remapped, 3);
     assert_eq!((stats.injected_transient, stats.detected_parity), (4, 4));
     assert!(stats.fully_accounted(), "{stats:?}");
 }
