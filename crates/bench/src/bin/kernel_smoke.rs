@@ -7,8 +7,11 @@
 //!    block-backed [`Csb`] and through scalar reference [`Chain`]s
 //!    seeded with identical state, on full and partial windows; every
 //!    reduction sum and every chain's final state must be bit-exact.
-//!    It runs at 1 024 chains (64 full blocks) and on a CAPE-tiny CSB of
-//!    4 chains (one block, 12 of its lanes padding).
+//!    It runs at 1 024 chains (64 full blocks), on a CAPE-tiny CSB of
+//!    4 chains (one block, 12 of its lanes padding) and on a 20-chain CSB
+//!    whose second block holds 4 chains. A block whose live lanes all lie
+//!    in lanes 0-3 runs the span-4 kernels and any other the span-16
+//!    ones, so at 20 chains one plan goes through both.
 //! 2. **Ratio:** a whole `vadd.vv` program through the block path must
 //!    be no slower than the scalar chain-at-a-time broadcast sweep it
 //!    replaced, with a generous 1.2× noise margin.
@@ -24,6 +27,9 @@ const CHAINS: usize = 1024;
 
 /// The CAPE-tiny geometry: one block, 12 of its 16 lanes padding.
 const TINY_CHAINS: usize = 4;
+
+/// A full block (span 16) beside a block of 4 chains (span 4).
+const MIXED_CHAINS: usize = 20;
 
 /// Deterministically seeded CSB (same scheme as the differential tests).
 fn seeded_csb(chains: usize) -> Csb {
@@ -83,7 +89,7 @@ fn differential(chains: usize, op: &VectorOp, vstart: usize, vl: usize) {
 
 fn main() {
     println!("kernel-smoke: block-SoA kernels vs scalar Chain reference");
-    println!("[1/2] differential ({CHAINS} and {TINY_CHAINS} chains)");
+    println!("[1/2] differential ({CHAINS}, {TINY_CHAINS} and {MIXED_CHAINS} chains)");
     let ops = [
         VectorOp::Add {
             vd: 3,
@@ -108,7 +114,7 @@ fn main() {
             vs2: 2,
         },
     ];
-    for chains in [CHAINS, TINY_CHAINS] {
+    for chains in [CHAINS, TINY_CHAINS, MIXED_CHAINS] {
         let max_vl = chains * 32;
         for op in &ops {
             differential(chains, op, 0, max_vl); // full window

@@ -24,6 +24,12 @@
 //!   (Section V-F), and padding lanes stay zero forever.
 //! * Reduction partial sums are plain additions, so summing lanes in a
 //!   different order than the chain-serial path yields identical totals.
+//! * The kernels are generic over a lane span `N` and sweep lanes `0..N`
+//!   only. Every lane at or past the span has a zero window, so by the
+//!   invariant above it contributes nothing and is not written: a block
+//!   whose live lanes are all among lanes 0–3 runs at span 4, any other
+//!   at span 16. Parity folds, block images, the fault injectors and
+//!   [`Lanes`] stay [`BLOCK_LANES`] wide.
 //!
 //! The scalar [`Chain`] keeps the one-chain-at-a-time implementation as
 //! the reference model; the differential tests below (and the
@@ -161,7 +167,8 @@ fn row_term_hash(s: usize, r: usize, delta: u32) -> u64 {
 /// `rows[s][r]` is row `r` of subarray `s` across the block's lanes;
 /// `tags[s]`/`acc[s]` are the match registers of subarray `s` across the
 /// lanes. All kernels take the block's window-slice (`win[l]` is lane
-/// `l`'s active-column mask) and leave `win[l] == 0` lanes untouched.
+/// `l`'s active-column mask) and leave `win[l] == 0` lanes untouched;
+/// they sweep the lanes below the span `N` they are instantiated at.
 ///
 /// # Incremental parity (DESIGN.md §15)
 ///
@@ -212,8 +219,14 @@ impl ChainBlock {
         }
     }
 
-    /// Runs every op of `plan` across the block's lanes, adding each
-    /// reduction's lane sum to `sums` in plan order.
+    /// Runs every op of `plan` across the block's first `N` lanes, adding
+    /// each reduction's lane sum to `sums` in plan order.
+    ///
+    /// `N` is the block's lane span: every lane at or past it must have a
+    /// zero window. The kernels never read such a lane into a result or
+    /// write it, so sweeping `0..N` instead of all [`BLOCK_LANES`] is
+    /// bit-exact ([`Shard`](crate::pool::Shard) picks `N` per block from
+    /// its windows; DESIGN.md §13).
     ///
     /// With `parity` (an armed shard) the rows the plan may write
     /// ([`Plan::written_rows`]) are folded into their parity words, in
@@ -227,16 +240,27 @@ impl ChainBlock {
     ///
     /// This and the kernels it calls are always inlined, so the
     /// broadcast loop over a plan ([`Shard::run`](crate::pool::Shard::run))
-    /// compiles to one loop with no call per op, and the match and
-    /// lane slices stay in registers.
+    /// compiles to one loop per span with no call per op, and the match
+    /// and lane slices stay in registers.
     #[inline(always)]
-    pub fn run_plan(&mut self, plan: &Plan, win: &Lanes, parity: bool, sums: &mut [u64]) {
+    pub fn run_plan<const N: usize>(
+        &mut self,
+        plan: &Plan,
+        win: &Lanes,
+        parity: bool,
+        sums: &mut [u64],
+    ) {
+        const { assert!(N <= BLOCK_LANES) };
+        debug_assert!(
+            win[N..].iter().all(|&w| w == 0),
+            "a lane past span {N} is live"
+        );
         if parity {
             self.fold_parity(plan.written_rows);
         }
         let mut k = 0;
         for op in &plan.ops {
-            if let Some(r) = self.execute_plan(op, plan, win) {
+            if let Some(r) = self.execute_plan::<N>(op, plan, win) {
                 sums[k] += r;
                 k += 1;
             }
@@ -247,7 +271,8 @@ impl ChainBlock {
     }
 
     /// XORs the lane fold of every row in `rows`, in every subarray,
-    /// into the row's parity word.
+    /// into the row's parity word. The fold always spans all
+    /// [`BLOCK_LANES`] lanes, whatever the span of the plan it brackets.
     fn fold_parity(&mut self, rows: u64) {
         for (sub, parity) in self.rows.iter().zip(&mut self.parity) {
             for r in row_runs(rows).flatten() {
@@ -256,20 +281,26 @@ impl ChainBlock {
         }
     }
 
-    /// Executes one lowered microop of `plan` across every lane of the
-    /// block, reading a general search's probes or a general update's
-    /// writes from the plan's tables. Returns the window-masked tag
-    /// popcount summed over the lanes for [`PlanOp::ReduceTags`], `None`
-    /// otherwise. `Read` is a no-op here: row data is chain-local and
-    /// consumers read block state after the program completes. Row
-    /// writes leave the parity words alone: [`ChainBlock::run_plan`]
-    /// folds them around the whole plan on an armed shard.
+    /// Executes one lowered microop of `plan` across the block's first
+    /// `N` lanes (its span; see [`ChainBlock::run_plan`]), reading a
+    /// general search's probes or a general update's writes from the
+    /// plan's tables. Returns the window-masked tag popcount summed over
+    /// the lanes for [`PlanOp::ReduceTags`], `None` otherwise. `Read` is
+    /// a no-op here: row data is chain-local and consumers read block
+    /// state after the program completes. Row writes leave the parity
+    /// words alone: [`ChainBlock::run_plan`] folds them around the whole
+    /// plan on an armed shard.
     #[inline(always)]
-    fn execute_plan(&mut self, op: &PlanOp, plan: &Plan, win: &Lanes) -> Option<u64> {
+    fn execute_plan<const N: usize>(
+        &mut self,
+        op: &PlanOp,
+        plan: &Plan,
+        win: &Lanes,
+    ) -> Option<u64> {
         match *op {
             PlanOp::SearchOne { probe, dest, mode } => {
-                let m = self.probe_match(&probe, win);
-                self.accumulate(probe.subarray as usize, &m, dest, mode, win);
+                let m = self.probe_match::<N>(&probe, win);
+                self.accumulate::<N>(probe.subarray as usize, &m, dest, mode, win);
                 None
             }
             PlanOp::Step {
@@ -279,11 +310,11 @@ impl ChainBlock {
                 nwrites,
                 writes,
             } => {
-                let m = self.probe_match(&probe, win);
-                self.accumulate(probe.subarray as usize, &m, dest, mode, win);
-                self.plan_write(&writes[0], win);
+                let m = self.probe_match::<N>(&probe, win);
+                self.accumulate::<N>(probe.subarray as usize, &m, dest, mode, win);
+                self.plan_write::<N>(&writes[0], win);
                 if nwrites == 2 {
-                    self.plan_write(&writes[1], win);
+                    self.plan_write::<N>(&writes[1], win);
                 }
                 None
             }
@@ -299,22 +330,22 @@ impl ChainBlock {
                 // probes.
                 let mut gated = *win;
                 for g in gates {
-                    self.and_probe(g, &mut gated);
+                    self.and_probe::<N>(g, &mut gated);
                 }
                 for p in probes {
                     let mut m = gated;
-                    self.and_probe(p, &mut m);
-                    self.accumulate(p.subarray as usize, &m, dest, mode, win);
+                    self.and_probe::<N>(p, &mut m);
+                    self.accumulate::<N>(p.subarray as usize, &m, dest, mode, win);
                 }
                 None
             }
             PlanOp::UpdateOne { write } => {
-                self.plan_write(&write, win);
+                self.plan_write::<N>(&write, win);
                 None
             }
             PlanOp::UpdateTwo { writes } => {
-                self.plan_write(&writes[0], win);
-                self.plan_write(&writes[1], win);
+                self.plan_write::<N>(&writes[0], win);
+                self.plan_write::<N>(&writes[1], win);
                 None
             }
             PlanOp::Update { at, n } => {
@@ -324,7 +355,7 @@ impl ChainBlock {
                     "update writes two rows of one subarray"
                 );
                 for w in writes {
-                    self.plan_write(w, win);
+                    self.plan_write::<N>(w, win);
                 }
                 None
             }
@@ -336,7 +367,7 @@ impl ChainBlock {
                 mask,
             } => {
                 let r = &mut self.rows[subarray as usize][row as usize];
-                for l in 0..BLOCK_LANES {
+                for l in 0..N {
                     let m = mask & win[l];
                     r[l] = (r[l] & !m) | (data & m);
                 }
@@ -345,7 +376,7 @@ impl ChainBlock {
             PlanOp::ReduceTags { subarray } => {
                 let t = &self.tags[subarray as usize];
                 let mut sum = 0u64;
-                for l in 0..BLOCK_LANES {
+                for l in 0..N {
                     sum += u64::from((t[l] & win[l]).count_ones());
                 }
                 Some(sum)
@@ -355,18 +386,18 @@ impl ChainBlock {
                 let d = &mut self.tags[dst as usize];
                 match op {
                     TagMode::Set => {
-                        for l in 0..BLOCK_LANES {
+                        for l in 0..N {
                             let act = lane_act(win[l]);
                             d[l] = (m[l] & act) | (d[l] & !act);
                         }
                     }
                     TagMode::And => {
-                        for l in 0..BLOCK_LANES {
+                        for l in 0..N {
                             d[l] &= m[l] | !win[l];
                         }
                     }
                     TagMode::Or => {
-                        for l in 0..BLOCK_LANES {
+                        for l in 0..N {
                             d[l] |= m[l] & win[l];
                         }
                     }
@@ -377,72 +408,81 @@ impl ChainBlock {
     }
 
     /// ANDs the probe's branchless key matches into `m`: per key row,
-    /// `m[l] &= rows[l] ^ inv` over the contiguous row-slice.
+    /// `m[l] &= rows[l] ^ inv` over the first `N` lanes of the row-slice.
     #[inline(always)]
-    fn and_probe(&self, p: &PlanProbe, m: &mut Lanes) {
+    fn and_probe<const N: usize>(&self, p: &PlanProbe, m: &mut Lanes) {
         let sub = &self.rows[p.subarray as usize];
         for k in 0..p.nkeys as usize {
             let row = &sub[p.rows[k] as usize];
             let inv = p.inv[k];
-            for l in 0..BLOCK_LANES {
+            for l in 0..N {
                 m[l] &= row[l] ^ inv;
             }
         }
     }
 
-    /// Window-masked single-probe match across the block's lanes.
+    /// Window-masked single-probe match across the block's first `N`
+    /// lanes; lanes past the span keep their (zero) window.
     #[inline(always)]
-    fn probe_match(&self, p: &PlanProbe, win: &Lanes) -> Lanes {
+    fn probe_match<const N: usize>(&self, p: &PlanProbe, win: &Lanes) -> Lanes {
         let mut m = *win;
-        self.and_probe(p, &mut m);
+        self.and_probe::<N>(p, &mut m);
         m
     }
 
     /// Latches a pre-window-masked match-slice `m` into the tags or
-    /// accumulator of `sub`. `Set` blends through the lane-activity mask
-    /// so power-gated lanes keep their register value, exactly like the
-    /// scalar path that never executes them.
+    /// accumulator of `sub` in the first `N` lanes. `Set` blends through
+    /// the lane-activity mask so power-gated lanes keep their register
+    /// value, exactly like the scalar path that never executes them.
     #[inline(always)]
-    fn accumulate(&mut self, sub: usize, m: &Lanes, dest: TagDest, mode: TagMode, win: &Lanes) {
+    fn accumulate<const N: usize>(
+        &mut self,
+        sub: usize,
+        m: &Lanes,
+        dest: TagDest,
+        mode: TagMode,
+        win: &Lanes,
+    ) {
         let reg = match dest {
             TagDest::Tags => &mut self.tags[sub],
             TagDest::Acc => &mut self.acc[sub],
         };
         match mode {
             TagMode::Set => {
-                for l in 0..BLOCK_LANES {
+                for l in 0..N {
                     let act = lane_act(win[l]);
                     reg[l] = (m[l] & act) | (reg[l] & !act);
                 }
             }
             TagMode::And => {
-                for l in 0..BLOCK_LANES {
+                for l in 0..N {
                     reg[l] &= m[l] | !win[l];
                 }
             }
             TagMode::Or => {
-                for l in 0..BLOCK_LANES {
+                for l in 0..N {
                     reg[l] |= m[l];
                 }
             }
         }
     }
 
-    /// One lowered row write across the block: `sel` picks the per-lane
-    /// column source (window, tags or accumulator of `src`).
+    /// One lowered row write across the block's first `N` lanes: `sel`
+    /// picks the per-lane column source (window, tags or accumulator of
+    /// `src`).
     #[inline(always)]
-    fn plan_write(&mut self, w: &PlanWrite, win: &Lanes) {
+    fn plan_write<const N: usize>(&mut self, w: &PlanWrite, win: &Lanes) {
         let mut cols = *win;
         match w.sel {
             1 => {
                 let t = &self.tags[w.src as usize];
-                for l in 0..BLOCK_LANES {
+                for l in 0..N {
                     cols[l] &= t[l];
                 }
             }
             2 => {
                 let a = &self.acc[w.src as usize];
-                for l in 0..BLOCK_LANES {
+                for l in 0..N {
                     cols[l] &= a[l];
                 }
             }
@@ -450,11 +490,11 @@ impl ChainBlock {
         }
         let row = &mut self.rows[w.subarray as usize][w.row as usize];
         if w.value {
-            for l in 0..BLOCK_LANES {
+            for l in 0..N {
                 row[l] |= cols[l];
             }
         } else {
-            for l in 0..BLOCK_LANES {
+            for l in 0..N {
                 row[l] &= !cols[l];
             }
         }
@@ -923,17 +963,18 @@ mod tests {
         ]
     }
 
-    /// Runs the lowered plan on the block, armed, and the original
-    /// microops on the per-lane reference chains (skipping power-gated
-    /// lanes), then asserts bit-exact state, identical reduction sums and
-    /// parity that the per-broadcast fold kept exact.
-    fn assert_block_matches_reference(win: Lanes, seed: u32) {
+    /// Runs the lowered plan on the block at span `N`, armed, and the
+    /// original microops on the per-lane reference chains (skipping
+    /// power-gated lanes), then asserts bit-exact state in all 16 lanes,
+    /// identical reduction sums and parity that the per-broadcast fold
+    /// kept exact.
+    fn assert_block_matches_reference<const N: usize>(win: Lanes, seed: u32) {
         let (mut block, mut chains) = seeded_pair(seed);
         let program = MicroProgram::new(sample_ops());
         let plan = program.plan();
 
         let mut block_sums = vec![0; plan.reduces];
-        block.run_plan(plan, &win, true, &mut block_sums);
+        block.run_plan::<N>(plan, &win, true, &mut block_sums);
         assert!(
             block.parity_consistent(),
             "legit execution broke parity (seed {seed})"
@@ -967,7 +1008,7 @@ mod tests {
 
     #[test]
     fn kernels_match_scalar_chain_full_window() {
-        assert_block_matches_reference([u32::MAX; BLOCK_LANES], 0xC0FF_EE01);
+        assert_block_matches_reference::<BLOCK_LANES>([u32::MAX; BLOCK_LANES], 0xC0FF_EE01);
     }
 
     #[test]
@@ -981,7 +1022,22 @@ mod tests {
         win[3] = 0;
         win[11] = 0;
         win[5] = u32::MAX;
-        assert_block_matches_reference(win, 0xDEAD_0001);
+        assert_block_matches_reference::<BLOCK_LANES>(win, 0xDEAD_0001);
+    }
+
+    #[test]
+    fn span_4_kernels_match_scalar_chain_on_a_narrow_window() {
+        // Live only in lanes 0-3, one of them gated and one fully open:
+        // the span-4 sweep must leave lanes 4-15 exactly as the scalar
+        // path that never runs them.
+        let mut next = rng(0x5AA5);
+        let mut win = [0u32; BLOCK_LANES];
+        for w in &mut win[..4] {
+            *w = next();
+        }
+        win[1] = 0;
+        win[2] = u32::MAX;
+        assert_block_matches_reference::<4>(win, 0xFACE_0004);
     }
 
     #[test]
@@ -992,7 +1048,7 @@ mod tests {
         win[4] = 0;
         let program = MicroProgram::new(sample_ops());
         let plan = program.plan();
-        block.run_plan(plan, &win, false, &mut vec![0; plan.reduces]);
+        block.run_plan::<BLOCK_LANES>(plan, &win, false, &mut vec![0; plan.reduces]);
         assert_eq!(block.to_chain(4), before, "gated lane must not change");
         drop(chains);
     }
@@ -1014,7 +1070,7 @@ mod tests {
             data: 0xFFFF_FFFF,
             mask: u32::MAX,
         }]);
-        block.run_plan(&plan, &win, true, &mut []);
+        block.run_plan::<BLOCK_LANES>(&plan, &win, true, &mut []);
         assert_eq!(block.rows[7][5], [u32::MAX; BLOCK_LANES]);
         assert_ne!(block.syndrome(), 0, "overwrite must not absorb the strike");
         assert_eq!(block.struck_rows(), vec![(7, 5)]);

@@ -24,6 +24,12 @@ use crate::chain::Chain;
 use crate::geometry::SUBARRAY_COLS;
 use crate::program::Plan;
 
+/// The narrow lane span: a block whose non-gated lanes all lie below it
+/// (a CAPE-tiny block of 4 chains, or a window that ends in the first
+/// four lanes) runs kernels that sweep only these lanes. Every other
+/// active block sweeps all [`BLOCK_LANES`].
+const NARROW_SPAN: usize = 4;
+
 /// A contiguous run of chains (packed into [`ChainBlock`]s) plus their
 /// window masks, the block-level active list, the parity flag and a
 /// reusable partial-sum scratch buffer — only what a broadcast needs.
@@ -32,12 +38,15 @@ use crate::program::Plan;
 ///
 /// `windows[b][l]` is the active-column mask of lane `l` of block `b`;
 /// padding lanes of a trailing partial block keep a permanent 0 mask.
-/// `active_blocks` holds indices of blocks with at least one non-gated
-/// lane; fully-masked blocks are power-gated and skipped (Section V-F),
-/// and kernels blend per lane so gated lanes inside a live block are
-/// never mutated either. The list is rebuilt lazily — any window rewrite
-/// marks it dirty and [`Shard::run`] refreshes it before broadcasting —
-/// so it can never go stale when masks change between programs.
+/// `active_blocks` holds, for each block with at least one non-gated
+/// lane, its index and its lane span ([`NARROW_SPAN`] or
+/// [`BLOCK_LANES`]). Fully-masked blocks are power-gated and skipped
+/// (Section V-F), and kernels blend per lane so gated lanes inside a live
+/// block are never mutated either. The list, spans included, is built
+/// lazily and nowhere else — [`Shard::new`] and any window rewrite mark
+/// it dirty and [`Shard::run`] rebuilds it before broadcasting — so
+/// neither a block nor its span can go stale when masks change between
+/// programs.
 ///
 /// `sums` accumulates one window-masked popcount partial sum per
 /// reduction in the plan, in program order, and is
@@ -47,7 +56,7 @@ use crate::program::Plan;
 pub(crate) struct Shard {
     blocks: Vec<ChainBlock>,
     windows: Vec<Lanes>,
-    active_blocks: Vec<u32>,
+    active_blocks: Vec<(u32, usize)>,
     active_dirty: bool,
     nchains: usize,
     /// True once the fault layer armed this shard: each block folds the
@@ -61,7 +70,8 @@ pub(crate) struct Shard {
 impl Shard {
     /// A zero-initialized shard of `len` chains with fully-open windows.
     /// The trailing block's padding lanes (when `len` is not a multiple of
-    /// [`BLOCK_LANES`]) get a permanent zero window.
+    /// [`BLOCK_LANES`]) get a permanent zero window. The active list and
+    /// its spans are left for the first broadcast to build.
     pub fn new(len: usize) -> Self {
         let nblocks = len.div_ceil(BLOCK_LANES);
         let mut windows = vec![[0u32; BLOCK_LANES]; nblocks];
@@ -71,8 +81,8 @@ impl Shard {
         Self {
             blocks: vec![ChainBlock::new(); nblocks],
             windows,
-            active_blocks: (0..nblocks as u32).collect(),
-            active_dirty: false,
+            active_blocks: Vec::with_capacity(nblocks),
+            active_dirty: true,
             nchains: len,
             parity_on: false,
             sums: Vec::new(),
@@ -107,27 +117,32 @@ impl Shard {
         }
     }
 
-    /// Rebuilds `active_blocks` from the current window masks if any mask
-    /// changed since the last rebuild.
+    /// Rebuilds `active_blocks`, with each block's span, from the current
+    /// window masks if any mask changed since the last rebuild.
     fn refresh_active(&mut self) {
         if !self.active_dirty {
             return;
         }
         self.active_blocks.clear();
         for (b, win) in self.windows.iter().enumerate() {
-            if win.iter().any(|&w| w != 0) {
-                self.active_blocks.push(b as u32);
+            if let Some(last) = win.iter().rposition(|&w| w != 0) {
+                let span = if last < NARROW_SPAN {
+                    NARROW_SPAN
+                } else {
+                    BLOCK_LANES
+                };
+                self.active_blocks.push((b as u32, span));
             }
         }
         self.active_dirty = false;
     }
 
-    /// Number of blocks the next broadcast will visit (test/bring-up
-    /// observability for the lazy active-list rebuild).
+    /// The (block, span) pairs the next broadcast will visit
+    /// (test/bring-up observability for the lazy active-list rebuild).
     #[cfg(test)]
-    pub fn active_block_count(&mut self) -> usize {
+    pub fn active_spans(&mut self) -> Vec<(u32, usize)> {
         self.refresh_active();
-        self.active_blocks.len()
+        self.active_blocks.clone()
     }
 
     /// Runs a whole lowered plan over this shard's active blocks,
@@ -139,11 +154,11 @@ impl Shard {
     ///
     /// Iteration is block-outer, op-inner: each block runs the *whole*
     /// program while its state is cache-resident, and each op runs as one
-    /// vectorized sweep over the block's [`BLOCK_LANES`] chains.
-    /// Reduction order across chains changes, but the partial sums are
-    /// plain additions, so the totals are identical.
+    /// vectorized sweep over the lanes below the block's span. Reduction
+    /// order across chains changes, but the partial sums are plain
+    /// additions, so the totals are identical.
     ///
-    /// The block kernels are inlined into this loop
+    /// The block kernels are inlined into this loop, once per span
     /// ([`ChainBlock::run_plan`]), so a plan op costs its lane sweeps and
     /// one dispatch, and only a reduction yields a sum. Armed and clean
     /// shards run the same kernels; an armed one also folds the written
@@ -160,8 +175,13 @@ impl Shard {
         } = self;
         sums.clear();
         sums.resize(plan.reduces, 0);
-        for &b in active_blocks.iter() {
-            blocks[b as usize].run_plan(plan, &windows[b as usize], *parity_on, sums);
+        for &(b, span) in active_blocks.iter() {
+            let (block, win) = (&mut blocks[b as usize], &windows[b as usize]);
+            if span == NARROW_SPAN {
+                block.run_plan::<NARROW_SPAN>(plan, win, *parity_on, sums);
+            } else {
+                block.run_plan::<BLOCK_LANES>(plan, win, *parity_on, sums);
+            }
         }
     }
 
@@ -507,11 +527,12 @@ mod tests {
 
     #[test]
     fn window_rewrites_refresh_the_active_list_between_runs() {
-        // Two full blocks; regression test for the stale-active-list bug:
-        // masking chains to zero *after* setup must be honored by the next
-        // broadcast, and re-opening them must bring their block back.
+        // Two full blocks; regression test for stale active lists and
+        // spans: masking chains to zero *after* setup must be honored by
+        // the next broadcast, re-opening them must bring their block back,
+        // and widening a narrowed block's window must widen its span.
         let mut shard = sample_shard(2 * BLOCK_LANES);
-        assert_eq!(shard.active_block_count(), 2);
+        assert_eq!(shard.active_spans(), [(0, BLOCK_LANES), (1, BLOCK_LANES)]);
 
         // Gate every chain of block 1.
         for c in BLOCK_LANES..2 * BLOCK_LANES {
@@ -521,18 +542,33 @@ mod tests {
             .map(|c| shard.chain(c))
             .collect();
         shard.run(&sample_plan());
-        assert_eq!(shard.active_block_count(), 1, "gated block must drop out");
+        assert_eq!(
+            shard.active_spans(),
+            [(0, BLOCK_LANES)],
+            "gated block must drop out"
+        );
         for (i, want) in before.iter().enumerate() {
             let c = BLOCK_LANES + i;
             assert_eq!(&shard.chain(c), want, "gated chain {c} must not change");
         }
 
-        // Re-open one chain of block 1: the block rejoins the broadcast.
+        // Re-open one chain of block 1: the block rejoins the broadcast,
+        // narrowed to lane 0, so it runs at span 4.
         shard.set_window(BLOCK_LANES, u32::MAX);
-        assert_eq!(shard.active_block_count(), 2);
+        assert_eq!(shard.active_spans(), [(0, BLOCK_LANES), (1, NARROW_SPAN)]);
         let (want_chains, _) = reference_run(&shard, &sample_ops());
         shard.run(&sample_plan());
         assert_eq!(shard.chain(BLOCK_LANES), want_chains[BLOCK_LANES]);
+
+        // Open lane 10 of block 1: the next run must sweep it, so a span
+        // kept from the narrow window would leave it unexecuted.
+        let lane10 = BLOCK_LANES + 10;
+        shard.set_window(lane10, u32::MAX);
+        let (want_chains, want_sums) = reference_run(&shard, &sample_ops());
+        shard.run(&sample_plan());
+        assert_eq!(shard.chain(lane10), want_chains[lane10], "chain {lane10}");
+        assert_eq!(shard.sums, want_sums);
+        assert_eq!(shard.active_spans(), [(0, BLOCK_LANES), (1, BLOCK_LANES)]);
     }
 
     #[test]

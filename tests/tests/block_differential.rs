@@ -63,6 +63,24 @@ fn every_op_matches_scalar_chains_on_masked_and_tail_windows() {
 }
 
 #[test]
+fn every_op_matches_scalar_chains_at_both_lane_spans() {
+    // A block whose live lanes all lie in lanes 0-3 runs the span-4
+    // kernels, any other active block the span-16 ones. 20 chains: block
+    // 1 holds 4 chains, so a span-4 block runs beside a span-16 one, over
+    // a full window and a restart-plus-tail one. 16 chains at vl 3: the
+    // window narrows a full block to span 4; at vl 5 the span stays 16
+    // with lanes 5-15 gated.
+    for op in &all_ops() {
+        for &(vstart, vl) in &[(0usize, 640usize), (7, 384)] {
+            assert_block_matches_scalar(op, 32, vstart, vl, 20);
+        }
+        for vl in [3usize, 5] {
+            assert_block_matches_scalar(op, 32, 0, vl, 16);
+        }
+    }
+}
+
+#[test]
 fn representative_ops_match_scalar_chains_through_the_worker_pool() {
     // 600 active chains of 1,024 engages the threaded broadcast path on
     // multi-core hosts; chains 600..1024 are fully power-gated, and 1,024
