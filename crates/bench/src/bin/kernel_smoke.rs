@@ -1,12 +1,16 @@
 //! Release gate for the block-SoA kernel layer: a fast differential
 //! harness plus a coarse performance ratio check.
 //!
-//! 1. **Differential:** representative vector ops (bit-serial adder,
-//!    signed compare, reduction, scalar compare, and the gated
-//!    shift-add passes of a multiply) run through the
+//! 1. **Differential:** representative vector ops (bit-serial adder and
+//!    subtractor, signed compare, reduction, scalar compare, the gated
+//!    shift-add passes of a multiply and a multiply-accumulate, and the
+//!    `.vx` adder and reverse subtractor) run through the
 //!    block-backed [`Csb`] and through scalar reference [`Chain`]s
 //!    seeded with identical state, on full and partial windows; every
 //!    reduction sum and every chain's final state must be bit-exact.
+//!    The arithmetic ops run as fused bit-steps: the gate first asserts
+//!    the plan lengths the kernels run (561 ops for `vmul.vv`, 36 for
+//!    `vadd.vv`), so a fallback to the unfused searches and updates fails.
 //!    It runs at 1 024 chains (64 full blocks), on a CAPE-tiny CSB of
 //!    4 chains (one block, 12 of its lanes padding) and on a 20-chain CSB
 //!    whose second block holds 4 chains. A block whose live lanes all lie
@@ -113,7 +117,35 @@ fn main() {
             vs1: 1,
             vs2: 2,
         },
+        VectorOp::Sub {
+            vd: 3,
+            vs1: 1,
+            vs2: 2,
+        },
+        VectorOp::Macc {
+            vd: 3,
+            vs1: 1,
+            vs2: 2,
+        },
+        VectorOp::AddScalar {
+            vd: 3,
+            vs1: 1,
+            rs: 0x8000_0001,
+        },
+        VectorOp::RsubScalar {
+            vd: 3,
+            vs1: 1,
+            rs: 0x7F,
+        },
     ];
+    for (op, want) in [(&ops[4], 561), (&ops[0], 36)] {
+        let len = CompiledOp::compile(op, 32).program().kernel_len();
+        println!("  {op:?}: the kernels run {len} plan ops");
+        assert_eq!(
+            len, want,
+            "{op:?} must run {want} plan ops (fused bit-steps)"
+        );
+    }
     for chains in [CHAINS, TINY_CHAINS, MIXED_CHAINS] {
         let max_vl = chains * 32;
         for op in &ops {

@@ -37,10 +37,11 @@
 //! it.
 
 use crate::bitmat::transpose32;
+use crate::bitstep::{Addend, BitStep};
 use crate::chain::Chain;
 use crate::geometry::{SUBARRAYS_PER_CHAIN, SUBARRAY_COLS};
 use crate::microop::{TagDest, TagMode};
-use crate::program::{Plan, PlanOp, PlanProbe, PlanWrite};
+use crate::program::{KernelOp, Plan, PlanOp, PlanProbe, PlanWrite};
 use crate::subarray::{DATA_ROWS, TOTAL_ROWS};
 
 /// Chains per block: 16 `u32` row-slices = one 64-byte cache line.
@@ -238,6 +239,10 @@ impl ChainBlock {
     /// pre- and post-broadcast hooks), so a struck row keeps its
     /// fold/parity mismatch through any write (DESIGN.md §15).
     ///
+    /// The plan is the fused form ([`Plan`]): its [`BitStep`]s run as
+    /// [`ChainBlock::bit_step`], every other op as
+    /// [`ChainBlock::execute_plan`].
+    ///
     /// This and the kernels it calls are always inlined, so the
     /// broadcast loop over a plan ([`Shard::run`](crate::pool::Shard::run))
     /// compiles to one loop per span with no call per op, and the match
@@ -245,7 +250,7 @@ impl ChainBlock {
     #[inline(always)]
     pub fn run_plan<const N: usize>(
         &mut self,
-        plan: &Plan,
+        plan: &Plan<KernelOp>,
         win: &Lanes,
         parity: bool,
         sums: &mut [u64],
@@ -260,7 +265,14 @@ impl ChainBlock {
         }
         let mut k = 0;
         for op in &plan.ops {
-            if let Some(r) = self.execute_plan::<N>(op, plan, win) {
+            let r = match op {
+                KernelOp::BitStep(step) => {
+                    self.bit_step::<N>(step, win);
+                    None
+                }
+                KernelOp::Op(op) => self.execute_plan::<N>(op, plan, win),
+            };
+            if let Some(r) = r {
                 sums[k] += r;
                 k += 1;
             }
@@ -294,7 +306,7 @@ impl ChainBlock {
     fn execute_plan<const N: usize>(
         &mut self,
         op: &PlanOp,
-        plan: &Plan,
+        plan: &Plan<KernelOp>,
         win: &Lanes,
     ) -> Option<u64> {
         match *op {
@@ -403,6 +415,66 @@ impl ChainBlock {
                     }
                 }
                 None
+            }
+        }
+    }
+
+    /// One fused truth-table bit-step ([`BitStep`]) across the block's
+    /// first `N` lanes, straight-line: per lane it loads the destination,
+    /// carry, addend and gate words, computes the flip mask
+    /// `e = win·g·(a ⊕ c)` and the generated carry, then stores the new
+    /// destination word, the tag and accumulator latches (blended through
+    /// the lane-activity mask, so a gated lane keeps them) and, with a
+    /// carry-out, ORs the carry into row `c` of subarray `s + 1`. Every
+    /// load happens before any store, so cells the step both reads and
+    /// writes read their old value, as in the exhaustive check that
+    /// admitted the step. A missing gate or a constant addend selects a
+    /// mask instead of branching.
+    #[inline(always)]
+    fn bit_step<const N: usize>(&mut self, step: &BitStep, win: &Lanes) {
+        let (s, d, c) = (step.s as usize, step.d as usize, step.c as usize);
+        let mut next = [0u32; N];
+        let (mut tags, mut acc, mut carry) = ([0u32; N], [0u32; N], [0u32; N]);
+        {
+            let rows = &self.rows;
+            let (dr, cr) = (&rows[s][d], &rows[s][c]);
+            let (ar, a_mask, a_const) = match step.addend {
+                Addend::Cell(x) => (&rows[x.sub as usize][x.row as usize], u32::MAX, 0),
+                Addend::Const(v) => (dr, 0, 0u32.wrapping_sub(u32::from(v))),
+            };
+            let gate = |g: Option<(crate::bitstep::Cell, bool)>| match g {
+                Some((x, want)) => (
+                    &rows[x.sub as usize][x.row as usize],
+                    if want { 0 } else { u32::MAX },
+                    0,
+                ),
+                None => (dr, 0, u32::MAX),
+            };
+            let (g0, inv0, off0) = gate(step.gates[0]);
+            let (g1, inv1, off1) = gate(step.gates[1]);
+            let borrow = 0u32.wrapping_sub(u32::from(step.borrow));
+            for l in 0..N {
+                let (dv, cv) = (dr[l], cr[l]);
+                let av = (ar[l] & a_mask) | a_const;
+                let g = win[l] & ((g0[l] ^ inv0) | off0) & ((g1[l] ^ inv1) | off1);
+                let e = g & (av ^ cv);
+                next[l] = dv ^ e;
+                tags[l] = e & dv;
+                acc[l] = e & !dv;
+                carry[l] = g & ((av & cv) | ((dv ^ borrow) & (av ^ cv)));
+            }
+        }
+        self.rows[s][d][..N].copy_from_slice(&next);
+        let (t, a) = (&mut self.tags[s], &mut self.acc[s]);
+        for l in 0..N {
+            let act = lane_act(win[l]);
+            t[l] = (tags[l] & act) | (t[l] & !act);
+            a[l] = (acc[l] & act) | (a[l] & !act);
+        }
+        if step.carry_out {
+            let out = &mut self.rows[s + 1][c];
+            for l in 0..N {
+                out[l] |= carry[l];
             }
         }
     }
@@ -971,7 +1043,7 @@ mod tests {
     fn assert_block_matches_reference<const N: usize>(win: Lanes, seed: u32) {
         let (mut block, mut chains) = seeded_pair(seed);
         let program = MicroProgram::new(sample_ops());
-        let plan = program.plan();
+        let plan = program.kernel();
 
         let mut block_sums = vec![0; plan.reduces];
         block.run_plan::<N>(plan, &win, true, &mut block_sums);
@@ -1047,7 +1119,7 @@ mod tests {
         let mut win = [u32::MAX; BLOCK_LANES];
         win[4] = 0;
         let program = MicroProgram::new(sample_ops());
-        let plan = program.plan();
+        let plan = program.kernel();
         block.run_plan::<BLOCK_LANES>(plan, &win, false, &mut vec![0; plan.reduces]);
         assert_eq!(block.to_chain(4), before, "gated lane must not change");
         drop(chains);
@@ -1064,12 +1136,12 @@ mod tests {
         // A legitimate full overwrite of the struck row shifts data and
         // parity by the same delta: the mismatch (and syndrome) persist.
         let win = [u32::MAX; BLOCK_LANES];
-        let plan = Plan::lower(&[MicroOp::Write {
+        let plan = crate::bitstep::derive(&Plan::lower(&[MicroOp::Write {
             subarray: 7,
             row: 5,
             data: 0xFFFF_FFFF,
             mask: u32::MAX,
-        }]);
+        }]));
         block.run_plan::<BLOCK_LANES>(&plan, &win, true, &mut []);
         assert_eq!(block.rows[7][5], [u32::MAX; BLOCK_LANES]);
         assert_ne!(block.syndrome(), 0, "overwrite must not absorb the strike");

@@ -1,6 +1,6 @@
 //! The full Compute-Storage Block: chains + reduction tree + accounting.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::block::{image_words, images_equal, BLOCK_LANES, ZERO_IMAGE};
 use crate::chain::Chain;
@@ -112,8 +112,8 @@ pub struct Csb {
     vstart: usize,
     vl: usize,
     stats: MicroOpStats,
-    /// Worker threads for the broadcast fan-out (queried once; it is a
-    /// syscall).
+    /// Worker threads for the broadcast fan-out: the host's CPUs, read
+    /// once per process, capped at 16.
     threads: usize,
     pool: WorkerPool,
     /// Seeded fault injection + parity/march detection. `None` (the
@@ -128,15 +128,20 @@ pub struct Csb {
     live_rows: u64,
 }
 
+/// The CPUs this process may run on, read once per process: the query
+/// reads the cgroup CPU quota and costs more than the rest of a small
+/// [`Csb::new`]. A process pinned to one CPU (`taskset -c 0`) reads 1.
+fn host_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
 impl Csb {
     /// Creates a zero-initialized CSB with the given geometry. The active
     /// window starts fully open (`vstart = 0`, `vl = MAX_VL`).
     pub fn new(geometry: CsbGeometry) -> Self {
         let n = geometry.num_chains();
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(16);
+        let threads = host_cpus().min(16);
         let shard_size = n
             .div_ceil(threads.min(n).max(1))
             .next_multiple_of(BLOCK_LANES);
@@ -261,10 +266,10 @@ impl Csb {
             self.live_rows |= f.take_rows_written();
         }
         if self.use_pool() {
-            self.pool.run(&mut self.shards, &program.plan_arc());
+            self.pool.run(&mut self.shards, program.kernel());
         } else {
             for shard in &mut self.shards {
-                shard.run(program.plan());
+                shard.run(program.kernel());
             }
         }
         let mut sums = vec![0u64; program.reduce_count()];

@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 mod bitmat;
+mod bitstep;
 mod block;
 mod chain;
 mod csb;

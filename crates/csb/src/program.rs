@@ -10,8 +10,10 @@
 //! [`Csb::execute_program`](crate::Csb::execute_program) pay one
 //! fan-out/fan-in per *instruction* instead of one per *microop*.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
+use crate::bitstep::{self, BitStep};
 use crate::geometry::SUBARRAYS_PER_CHAIN;
 use crate::microop::{MicroOp, Probe, TagDest, TagMode, WriteSpec};
 use crate::stats::MicroOpStats;
@@ -60,12 +62,17 @@ pub(crate) struct PlanWrite {
     pub value: bool,
 }
 
-/// A microop lowered into the dense, pre-validated form the broadcast
-/// executor runs. Structural checks (probe key counts, one row per
-/// subarray per update, index ranges) happen once here, at compile time,
-/// instead of once per chain per op in the fan-out. The dominant
-/// bit-serial shapes — a single ungated probe, an update of one or two
-/// rows — get inline variants.
+/// A microop lowered into the dense, pre-validated form of a plan's op
+/// list. Structural checks (probe key counts, one row per subarray per
+/// update, index ranges) happen once here, at compile time, instead of
+/// once per chain per op in the fan-out. The dominant bit-serial shapes —
+/// a single ungated probe, an update of one or two rows — get inline
+/// variants.
+///
+/// The op list is the *analysis form*: step fusion, `TagCombine` dedup,
+/// dead-store elimination and store counts all work on it. The kernels
+/// run the fused form derived from it last, whose ops are [`KernelOp`]s:
+/// a [`BitStep`] is no `PlanOp`, so no pass can meet one.
 ///
 /// Every variant is fixed-size `Copy` data. The two shapes with a
 /// variable operand count, a general search and a general update, hold
@@ -138,12 +145,33 @@ pub(crate) enum PlanOp {
     },
 }
 
+/// An op of a plan's fused form, the form the kernels run: an op of the
+/// op list, or a [`BitStep`] that replaced a run of them
+/// ([`bitstep::derive`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KernelOp {
+    Op(PlanOp),
+    BitStep(BitStep),
+}
+
+impl KernelOp {
+    /// This op with its table offsets moved by a window's concatenation.
+    fn shifted(self, probes: u32, writes: u32) -> Self {
+        match self {
+            KernelOp::Op(op) => KernelOp::Op(op.shifted(probes, writes)),
+            step => step,
+        }
+    }
+}
+
 // The broadcast loop copies plan ops and walks them as one array: keep
 // them plain data, no wider than a fused step.
 const _: () = {
     const fn copy<T: Copy>() {}
     copy::<PlanOp>();
+    copy::<KernelOp>();
     assert!(std::mem::size_of::<PlanOp>() <= 40);
+    assert!(std::mem::size_of::<KernelOp>() <= 40);
 };
 
 impl PlanOp {
@@ -159,9 +187,16 @@ impl PlanOp {
     }
 }
 
-/// A lowered broadcast plan: the op list, the side tables its general
+/// A lowered broadcast plan: the ops, the side tables its general
 /// searches and updates index, how many reductions it produces and
 /// which rows it may write.
+///
+/// A plan comes in two forms. `Plan<PlanOp>` holds the op list, the
+/// analysis form every pass works on. `Plan<KernelOp>` is the fused form
+/// derived from it last ([`bitstep::derive`]) and the one the kernels run
+/// ([`ChainBlock::run_plan`](crate::block::ChainBlock::run_plan)): each
+/// verified bit-step run is one [`BitStep`], every other op is kept, and
+/// the tables hold only what the kept ops index.
 ///
 /// Its ops and table entries are flat `Copy` data, so a window's plan is
 /// its parts' vectors copied end to end with the offsets shifted, and a
@@ -173,9 +208,9 @@ impl PlanOp {
 /// Equality is by content: ops compare with their table entries
 /// resolved ([`Plan::resolve`]), so it does not depend on the table
 /// layout or on how a window was split into parts.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Plan {
-    pub ops: Vec<PlanOp>,
+#[derive(Debug, Clone)]
+pub(crate) struct Plan<O = PlanOp> {
+    pub ops: Vec<O>,
     pub probes: Vec<PlanProbe>,
     pub writes: Vec<PlanWrite>,
     /// The number of [`PlanOp::ReduceTags`] in `ops`: the length of the
@@ -201,25 +236,39 @@ pub(crate) enum Resolved<'a> {
         mode: TagMode,
     },
     Update(&'a [PlanWrite]),
-    /// Every other op holds all its operands itself.
+    /// Every other op holds all its operands itself, and so does a
+    /// fused bit-step.
     Inline(PlanOp),
+    BitStep(BitStep),
 }
 
-impl PartialEq for Plan {
+impl<O> Default for Plan<O> {
+    fn default() -> Self {
+        Self {
+            ops: Vec::new(),
+            probes: Vec::new(),
+            writes: Vec::new(),
+            reduces: 0,
+            written_rows: 0,
+        }
+    }
+}
+
+impl PartialEq for Plan<KernelOp> {
     fn eq(&self, other: &Self) -> bool {
         self.ops.len() == other.ops.len()
             && self
                 .ops
                 .iter()
                 .zip(&other.ops)
-                .all(|(a, b)| self.resolve(a) == other.resolve(b))
+                .all(|(a, b)| self.resolve(*a) == other.resolve(*b))
     }
 }
 
-impl Eq for Plan {}
+impl Eq for Plan<KernelOp> {}
 
 /// A table length as an op offset.
-fn table_offset(len: usize) -> u32 {
+pub(crate) fn table_offset(len: usize) -> u32 {
     u32::try_from(len).expect("plan tables hold fewer than 2^32 entries")
 }
 
@@ -231,9 +280,10 @@ fn operand_count(n: usize) -> u8 {
 impl Plan {
     /// Lowers `ops` one for one (no step fusion), running each op's
     /// structural validation once.
-    pub(crate) fn lower(ops: &[MicroOp]) -> Self {
+    pub(crate) fn lower<'a>(ops: impl IntoIterator<Item = &'a MicroOp>) -> Self {
+        let ops = ops.into_iter();
         let mut plan = Self {
-            ops: Vec::with_capacity(ops.len()),
+            ops: Vec::with_capacity(ops.size_hint().0),
             ..Self::default()
         };
         for op in ops {
@@ -242,7 +292,40 @@ impl Plan {
         }
         plan
     }
+}
 
+impl<O: Copy> Plan<O> {
+    /// The parts' plans end to end: tables appended, each op's offsets
+    /// moved by `shifted`. Three copies per part, no allocation per op.
+    fn concat<'a>(
+        parts: impl Iterator<Item = &'a Self> + Clone,
+        shifted: fn(O, u32, u32) -> O,
+    ) -> Self
+    where
+        O: 'a,
+    {
+        let mut plan = Self {
+            ops: Vec::with_capacity(parts.clone().map(|p| p.ops.len()).sum()),
+            probes: Vec::with_capacity(parts.clone().map(|p| p.probes.len()).sum()),
+            writes: Vec::with_capacity(parts.clone().map(|p| p.writes.len()).sum()),
+            reduces: 0,
+            written_rows: 0,
+        };
+        for part in parts {
+            let probes = table_offset(plan.probes.len());
+            let writes = table_offset(plan.writes.len());
+            plan.probes.extend_from_slice(&part.probes);
+            plan.writes.extend_from_slice(&part.writes);
+            plan.ops
+                .extend(part.ops.iter().map(|&op| shifted(op, probes, writes)));
+            plan.reduces += part.reduces;
+            plan.written_rows |= part.written_rows;
+        }
+        plan
+    }
+}
+
+impl<O> Plan<O> {
     /// The match probes and gate probes of a [`PlanOp::Search`].
     #[inline(always)]
     pub(crate) fn search(&self, at: u32, probes: u8, gates: u8) -> (&[PlanProbe], &[PlanProbe]) {
@@ -257,8 +340,12 @@ impl Plan {
     }
 
     /// `op`, one of this plan's ops, with its table entries resolved.
-    pub(crate) fn resolve(&self, op: &PlanOp) -> Resolved<'_> {
-        match *op {
+    pub(crate) fn resolve(&self, op: KernelOp) -> Resolved<'_> {
+        let op = match op {
+            KernelOp::Op(op) => op,
+            KernelOp::BitStep(step) => return Resolved::BitStep(step),
+        };
+        match op {
             PlanOp::Search {
                 at,
                 probes,
@@ -277,29 +364,6 @@ impl Plan {
             PlanOp::Update { at, n } => Resolved::Update(self.update(at, n)),
             op => Resolved::Inline(op),
         }
-    }
-
-    /// The parts' plans end to end: tables appended, offsets shifted.
-    /// Three copies per part, no allocation per op.
-    fn concat<'a>(parts: impl Iterator<Item = &'a Plan> + Clone) -> Self {
-        let mut plan = Self {
-            ops: Vec::with_capacity(parts.clone().map(|p| p.ops.len()).sum()),
-            probes: Vec::with_capacity(parts.clone().map(|p| p.probes.len()).sum()),
-            writes: Vec::with_capacity(parts.clone().map(|p| p.writes.len()).sum()),
-            reduces: 0,
-            written_rows: 0,
-        };
-        for part in parts {
-            let probes = table_offset(plan.probes.len());
-            let writes = table_offset(plan.writes.len());
-            plan.probes.extend_from_slice(&part.probes);
-            plan.writes.extend_from_slice(&part.writes);
-            plan.ops
-                .extend(part.ops.iter().map(|op| op.shifted(probes, writes)));
-            plan.reduces += part.reduces;
-            plan.written_rows |= part.written_rows;
-        }
-        plan
     }
 }
 
@@ -781,22 +845,61 @@ impl Plan {
     }
 }
 
+/// The op list's plan: lowered, then step-fused. The analysis form a
+/// window concatenates.
+fn lowered<'a>(ops: impl IntoIterator<Item = &'a MicroOp>) -> Plan {
+    let mut plan = Plan::lower(ops);
+    fuse_steps(&mut plan.ops);
+    plan
+}
+
+/// The plan a window's kernels run, given its op list's plan after the
+/// window passes: that plan's fused form, or, when the passes cut into
+/// bit-steps so that it runs more ops than its parts do one after the
+/// other, the parts' kernel plans end to end. A dead-store pass that drops
+/// a step's destination writes (its result is overwritten later in the
+/// window) leaves a remnant no `BitStep` equals, which runs op by op.
+fn window_kernel(plan: &Plan, parts: &[&MicroProgram]) -> Plan<KernelOp> {
+    let kernel = bitstep::derive(plan);
+    let parts_len: usize = parts.iter().map(|p| p.kernel_len()).sum();
+    if kernel.ops.len() <= parts_len {
+        kernel
+    } else {
+        Plan::concat(parts.iter().map(|p| &*p.kernel), KernelOp::shifted)
+    }
+}
+
 /// A compiled, immutable microop sequence executed as one broadcast unit.
 ///
-/// The op list and the lowered broadcast plan are reference-counted, so
+/// The op list and the lowered broadcast plans are reference-counted, so
 /// a cached program can be handed to every pool worker without
 /// deep-copying microops. The op list is held as shared handles to the
 /// op lists it was built from — one for [`MicroProgram::new`], one per
 /// part for a [`MicroProgram::windowed`] fusion window — so a window
 /// shares its microops with its parts instead of copying them.
 ///
-/// Equality is by content: the op sequence, the plan (with its table
-/// entries resolved, see `Plan`), the sync points and the dead-store
-/// count. How a window was split into parts does not enter it.
+/// Every program holds the plan its kernels run, the fused form. A
+/// program built by [`MicroProgram::new`] in which a bit-step fused also
+/// keeps its op list's plan, because it may become a window part; where
+/// nothing fused, the fused form holds the same ops and a window lowers
+/// them again. A window is never concatenated again, so it keeps only the
+/// fused form.
+///
+/// Equality is by content: the op sequence, the plan the kernels run
+/// (with its table entries resolved, see `Plan`), the sync points and the
+/// dead-store count. How a window was split into parts enters it only
+/// where the window runs its parts' plans end to end (see
+/// [`MicroProgram::windowed`]).
 #[derive(Debug, Clone)]
 pub struct MicroProgram {
     ops: Arc<[Arc<Vec<MicroOp>>]>,
-    plan: Arc<Plan>,
+    /// The op list's plan, step-fused with nothing dropped: what a window
+    /// concatenates. `None` for a window and where nothing fused.
+    list: Option<Arc<Plan>>,
+    /// The plan the kernels run.
+    kernel: Arc<Plan<KernelOp>>,
+    /// Ops in the op list's plan after the window passes.
+    plan_len: usize,
     sync_points: Vec<SyncPoint>,
     /// Stores the window peephole passes removed from the broadcast
     /// plan relative to plain concatenation — compile-time metadata, so
@@ -810,7 +913,7 @@ impl PartialEq for MicroProgram {
     fn eq(&self, other: &Self) -> bool {
         self.dead_stores == other.dead_stores
             && self.sync_points == other.sync_points
-            && self.plan == other.plan
+            && self.kernel == other.kernel
             && self.ops().eq(other.ops())
     }
 }
@@ -819,7 +922,8 @@ impl Eq for MicroProgram {}
 
 impl MicroProgram {
     /// Wraps an op sequence, locating its sync points and lowering the ops
-    /// into the dense plan the broadcast executor runs.
+    /// into the dense plan the broadcast executor runs, then deriving the
+    /// plan's fused form.
     pub fn new(ops: Vec<MicroOp>) -> Self {
         let sync_points = ops
             .iter()
@@ -836,16 +940,20 @@ impl MicroProgram {
                 _ => None,
             })
             .collect();
-        let mut plan = Plan::lower(&ops);
-        fuse_steps(&mut plan.ops);
+        let plan = lowered(&ops);
         let mut stats = MicroOpStats::new();
         for op in &ops {
             let (kind, bp) = op.classify();
             stats.record(kind, bp);
         }
+        let kernel = bitstep::derive(&plan);
         Self {
             ops: Arc::new([Arc::new(ops)]),
-            plan: Arc::new(plan),
+            plan_len: plan.ops.len(),
+            // Where nothing fused the fused form holds the op list's ops
+            // themselves, so the program keeps no second copy of them.
+            list: (kernel.ops.len() < plan.ops.len()).then(|| Arc::new(plan)),
+            kernel: Arc::new(kernel),
             sync_points,
             dead_stores: 0,
             stats,
@@ -857,7 +965,7 @@ impl MicroProgram {
     /// a single fan-out/fan-in.
     ///
     /// The window is built from what its parts already compiled; no
-    /// microop is copied or lowered again. The parts' lowered plans are
+    /// microop is copied or lowered again. The parts' op-list plans are
     /// concatenated — their op lists and side tables copied end to end,
     /// table offsets shifted, nothing allocated per op — and step fusion
     /// runs over the result. Each part's plan is already step-fused
@@ -869,26 +977,38 @@ impl MicroProgram {
     /// fully rewritten later in the window, unread in between, is never
     /// materialized), both in place. For parts built by
     /// [`MicroProgram::new`] the plan equals the one lowering the
-    /// concatenated op list would give.
+    /// concatenated op list would give. A part that holds no op-list plan
+    /// (a window, or a program in which nothing fused) has its ops
+    /// lowered again.
+    ///
+    /// Last, the fused form is derived from the result, and the window
+    /// keeps only that. Where the passes cut into bit-steps so far that
+    /// the fused form would run more ops than the parts' fused forms
+    /// together, the window runs those end to end instead: a window never
+    /// runs more kernel ops than its parts. [`Self::plan_len`] and
+    /// [`Self::dead_stores`] still describe the op list after the passes.
     ///
     /// The *op* list is the unoptimized concatenation, held as shared
-    /// handles to the parts' lists. Stats, sync points, written rows and
-    /// dead stores are merged from the parts: stats add up, sync points
-    /// shift by the ops before their part, written-row masks OR
-    /// together. So recorded [`MicroOpStats`] — and everything derived
-    /// from them (modeled cycles and energy) — are identical to running
-    /// the parts one at a time; only the host broadcast plan shrinks, and
-    /// the written-row mask still covers every row it writes.
+    /// handles to the parts' lists. Stats, sync points and written rows
+    /// are merged from the parts: stats add up, sync points shift by the
+    /// ops before their part, written-row masks OR together. So recorded
+    /// [`MicroOpStats`] — and everything derived from them (modeled
+    /// cycles and energy) — are identical to running the parts one at a
+    /// time; only the host broadcast plan shrinks, and the written-row
+    /// mask still covers every row it writes.
     pub fn windowed(parts: &[&MicroProgram]) -> Self {
-        let mut plan = Plan::concat(parts.iter().map(|p| &*p.plan));
+        let lists: Vec<Cow<'_, Plan>> = parts.iter().map(|p| p.list()).collect();
+        let mut plan = Plan::concat(lists.iter().map(|p| &**p), PlanOp::shifted);
         fuse_steps(&mut plan.ops);
         let before = store_count(&plan.ops);
         dedup_tag_combines(&mut plan.ops);
         dead_store_eliminate_tagged(&mut plan);
         let mut fused = Self {
             ops: parts.iter().flat_map(|p| p.ops.iter().cloned()).collect(),
+            list: None,
             dead_stores: (before - store_count(&plan.ops)) as u32,
-            plan: Arc::new(plan),
+            plan_len: plan.ops.len(),
+            kernel: Arc::new(window_kernel(&plan, parts)),
             sync_points: Vec::new(),
             stats: MicroOpStats::new(),
         };
@@ -900,11 +1020,20 @@ impl MicroProgram {
                     op_index: base + s.op_index,
                     kind: s.kind,
                 }));
-            fused.dead_stores += p.dead_stores;
             fused.stats.merge(&p.stats);
             base += p.len();
         }
         fused
+    }
+
+    /// The op list's plan, for a window to concatenate: the one this
+    /// program keeps, or its ops lowered again for a program that keeps
+    /// none (a window, or a program in which nothing fused).
+    fn list(&self) -> Cow<'_, Plan> {
+        match &self.list {
+            Some(plan) => Cow::Borrowed(plan),
+            None => Cow::Owned(lowered(self.ops())),
+        }
     }
 
     /// Stores the window peephole passes eliminated from this program's
@@ -919,7 +1048,7 @@ impl MicroProgram {
     /// (see [`Csb`](crate::Csb)'s live-row mask): the plan's
     /// `written_rows`, which for a window is the OR of its parts'.
     pub(crate) fn written_rows(&self) -> u64 {
-        self.plan.written_rows
+        self.kernel.written_rows
     }
 
     /// The microops in broadcast order. A window yields its parts' ops
@@ -957,25 +1086,41 @@ impl MicroProgram {
     /// Number of reduction sync points — the length of the sum vector
     /// [`Csb::execute_program`](crate::Csb::execute_program) returns.
     pub fn reduce_count(&self) -> usize {
-        self.plan.reduces
+        self.kernel.reduces
     }
 
-    /// Number of broadcast plan steps the host actually executes. Equal
-    /// to [`Self::len`] minus the steps removed by `fuse_steps` and
-    /// (for windows) the cross-op peephole passes — the observable size
-    /// of the fusion win.
+    /// Number of ops in the op list's plan: [`Self::len`] minus the
+    /// steps removed by `fuse_steps` and (for windows) the cross-op
+    /// peephole passes — the observable size of the window passes' win.
+    /// Bit-step fusion is not counted here; [`Self::kernel_len`] is what
+    /// the kernels run.
     pub fn plan_len(&self) -> usize {
-        self.plan.ops.len()
+        self.plan_len
     }
 
-    /// The lowered broadcast plan.
-    pub(crate) fn plan(&self) -> &Plan {
-        &self.plan
+    /// Number of plan ops the kernels run per broadcast: the op list's
+    /// plan with every fused bit-step counted as one op. A `vmul.vv` at
+    /// SEW 32 runs 561 for its 4 225 microops, a `vadd.vv` 36 for 259. A
+    /// window never runs more than its parts together.
+    pub fn kernel_len(&self) -> usize {
+        self.kernel.ops.len()
     }
 
-    /// Shared handle to the lowered plan (cheap clone for pool workers).
-    pub(crate) fn plan_arc(&self) -> Arc<Plan> {
-        Arc::clone(&self.plan)
+    /// Number of truth-table bit-steps the kernels run as one plan op
+    /// each ([`Self::kernel_len`] counts each as one): 32 for a `vadd.vv`
+    /// at SEW 32, 528 for a `vmul.vv`.
+    pub fn bit_steps(&self) -> usize {
+        self.kernel
+            .ops
+            .iter()
+            .filter(|op| matches!(op, KernelOp::BitStep(_)))
+            .count()
+    }
+
+    /// The plan the kernels run, shared: handing it to a pool worker
+    /// copies a handle, not the plan.
+    pub(crate) fn kernel(&self) -> &Arc<Plan<KernelOp>> {
+        &self.kernel
     }
 }
 
@@ -1052,14 +1197,20 @@ mod tests {
     fn windowed_fuses_steps_across_op_seams() {
         let a = MicroProgram::new(vec![search1(0, 1)]);
         let b = MicroProgram::new(vec![upd1(0, 2, true)]);
-        assert!(matches!(a.plan().ops[0], PlanOp::SearchOne { .. }));
-        assert!(matches!(b.plan().ops[0], PlanOp::UpdateOne { .. }));
+        assert!(matches!(
+            a.kernel().ops[0],
+            KernelOp::Op(PlanOp::SearchOne { .. })
+        ));
+        assert!(matches!(
+            b.kernel().ops[0],
+            KernelOp::Op(PlanOp::UpdateOne { .. })
+        ));
         let fused = MicroProgram::windowed(&[&a, &b]);
         assert_eq!(fused.len(), 2, "op list is the plain concatenation");
         assert_eq!(fused.plan_len(), 1, "seam search+update fuse to a step");
         assert!(matches!(
-            fused.plan().ops[0],
-            PlanOp::Step { nwrites: 1, .. }
+            fused.kernel().ops[0],
+            KernelOp::Op(PlanOp::Step { nwrites: 1, .. })
         ));
     }
 
@@ -1087,7 +1238,10 @@ mod tests {
         assert_eq!(fused.len(), 2, "stats still charge both updates");
         assert_eq!(fused.plan_len(), 1, "first store is dead");
         assert!(
-            matches!(fused.plan().ops[0], PlanOp::UpdateOne { write } if !write.value),
+            matches!(
+                fused.kernel().ops[0],
+                KernelOp::Op(PlanOp::UpdateOne { write }) if !write.value
+            ),
             "the surviving store is the later one"
         );
     }
@@ -1115,12 +1269,12 @@ mod tests {
         // The probe fuses with the trailing update into a step, but the
         // first store must survive: the search reads the row.
         let writes: usize = fused
-            .plan()
+            .kernel()
             .ops
             .iter()
             .map(|p| match p {
-                PlanOp::UpdateOne { .. } => 1,
-                PlanOp::Step { nwrites, .. } => *nwrites as usize,
+                KernelOp::Op(PlanOp::UpdateOne { .. }) => 1,
+                KernelOp::Op(PlanOp::Step { nwrites, .. }) => *nwrites as usize,
                 _ => 0,
             })
             .sum();
@@ -1261,8 +1415,8 @@ mod tests {
             3,
             "a search's two stores and one write"
         );
-        assert_eq!(window.plan(), lean.plan());
-        assert_ne!(window.plan().ops, lean.plan().ops, "offsets differ");
+        assert_eq!(window.kernel(), lean.kernel());
+        assert_ne!(window.kernel().ops, lean.kernel().ops, "offsets differ");
     }
 
     #[test]
@@ -1494,18 +1648,23 @@ mod window_properties {
                 fused.plan_len() <= fused.len(),
                 "fusion never grows the plan past the op list"
             );
+            prop_assert!(
+                fused.kernel_len() <= parts.iter().map(MicroProgram::kernel_len).sum(),
+                "a window never runs more kernel ops than its parts"
+            );
 
             // Built from the parts' plans, the window is exactly the
             // program re-lowering the whole op list gives, op for op with
-            // the side tables resolved.
-            let reference = relowered_window(&ops);
-            let (got, want) = (fused.plan(), reference.plan());
-            prop_assert_eq!(got.ops.len(), want.ops.len(), "plan length");
+            // the side tables resolved, in the form its kernels run.
+            let reference = relowered_window(&ops, &refs);
+            let (got, want) = (fused.kernel(), reference.kernel());
+            prop_assert_eq!(got.ops.len(), want.ops.len(), "kernel length");
             for (a, b) in got.ops.iter().zip(&want.ops) {
-                prop_assert_eq!(got.resolve(a), want.resolve(b), "plan op");
+                prop_assert_eq!(got.resolve(*a), want.resolve(*b), "plan op");
             }
             prop_assert_eq!(got.reduces, want.reduces, "reductions");
             prop_assert_eq!(got, want, "plan");
+            prop_assert_eq!(fused.plan_len(), reference.plan_len(), "plan length");
             prop_assert_eq!(fused.dead_stores(), reference.dead_stores(), "dead stores");
             prop_assert_eq!(fused.len(), reference.len(), "len");
             prop_assert_eq!(fused.sync_points(), reference.sync_points(), "sync points");
@@ -1517,16 +1676,19 @@ mod window_properties {
     }
 
     /// The window construction [`MicroProgram::windowed`] replaced, kept
-    /// as its oracle: lower the concatenated op list from scratch, then
-    /// run the cross-op peepholes over the whole plan.
-    fn relowered_window(ops: &[MicroOp]) -> MicroProgram {
+    /// as its oracle: lower the concatenated op list from scratch, run
+    /// the cross-op peepholes over the whole plan, then derive the kernel
+    /// plan from the result as a window over `parts` does.
+    fn relowered_window(ops: &[MicroOp], parts: &[&MicroProgram]) -> MicroProgram {
         let mut fused = MicroProgram::new(ops.to_vec());
-        let mut plan = Plan::clone(&fused.plan);
+        let mut plan = fused.list().into_owned();
         let before = store_count(&plan.ops);
         dedup_tag_combines(&mut plan.ops);
         dead_store_eliminate_tagged(&mut plan);
         fused.dead_stores = (before - store_count(&plan.ops)) as u32;
-        fused.plan = Arc::new(plan);
+        fused.plan_len = plan.ops.len();
+        fused.kernel = Arc::new(window_kernel(&plan, parts));
+        fused.list = None;
         fused
     }
 }

@@ -1203,21 +1203,18 @@ impl ProgramBuilder {
     ) -> bool {
         let mut first = true;
         for p in patterns {
-            let mut keys: Vec<(usize, bool)> = Vec::with_capacity(3);
-            if let Some(v) = p.d {
-                keys.push((d_reg, v));
-            }
-            if let Some(v) = p.c {
-                keys.push((ROW_CARRY, v));
-            }
-            let mut extra_gates = gates.to_vec();
+            // The addend bit keys the probe in its own subarray and gates
+            // the search from another one; a scalar's bit decides the
+            // pattern here. Nothing is allocated for a skipped pattern,
+            // and each vector is allocated at its final size.
+            let (mut addend_key, mut addend_gate) = (None, None);
             match (addend, p.a) {
                 (_, None) => {}
                 (Some(Addend::Reg(a_reg)), Some(v)) => {
                     if a_bit == d_sub {
-                        keys.push((a_reg, v));
+                        addend_key = Some((a_reg, v));
                     } else {
-                        extra_gates.push(Probe::row(a_bit, a_reg, v));
+                        addend_gate = Some(Probe::row(a_bit, a_reg, v));
                     }
                 }
                 (Some(Addend::Scalar(x)), Some(v)) => {
@@ -1230,6 +1227,14 @@ impl ProgramBuilder {
                     continue; // the pattern is unusable without an addend
                 }
             }
+            let mut keys: Vec<(usize, bool)> = Vec::with_capacity(3);
+            keys.extend(p.d.map(|v| (d_reg, v)));
+            keys.extend(p.c.map(|v| (ROW_CARRY, v)));
+            keys.extend(addend_key);
+            let mut extra_gates =
+                Vec::with_capacity(gates.len() + usize::from(addend_gate.is_some()));
+            extra_gates.extend_from_slice(gates);
+            extra_gates.extend(addend_gate);
             let mode = if first { TagMode::Set } else { TagMode::Or };
             self.emit(MicroOp::Search {
                 probes: vec![Probe::new(d_sub, keys)],

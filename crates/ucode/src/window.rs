@@ -217,6 +217,11 @@ mod tests {
             fused.program().plan_len()
         );
         assert!(fused.program().dead_stores() > 0, "the win is measurable");
+        // The pass cut the add's bit-steps down to carry chains no fused
+        // step equals; the window runs its parts' fused plans instead of
+        // those, never more kernel ops than the parts.
+        let kernels: usize = parts.iter().map(|p| p.program().kernel_len()).sum();
+        assert_eq!(fused.program().kernel_len(), kernels);
         // The *op* list stays the unoptimized concatenation so recorded
         // stats (cycles, energy) match per-op execution.
         assert_eq!(

@@ -8,8 +8,8 @@
 
 mod common;
 
-use cape_csb::Chain;
-use cape_ucode::{CompiledOp, VectorOp};
+use cape_csb::{Chain, FaultConfig, MicroProgram};
+use cape_ucode::{fuse_window, CompiledOp, VectorOp};
 use common::{all_ops, reference_program, seeded_csb};
 
 /// Runs `op`'s compiled microop program through the block-backed CSB and
@@ -140,4 +140,181 @@ fn context_switch_round_trips_through_chain_block() {
     }
     // A second capture of the restored state is bit-identical.
     assert_eq!(csb.save_registers(), snap);
+}
+
+#[test]
+fn bit_step_counts_are_pinned() {
+    // Every truth-table bit position of these passes runs as one fused
+    // plan op. A shape the exhaustive check stops proving falls back to
+    // its searches and updates, which these exact counts catch.
+    let (vd, vs1, vs2) = (3, 1, 2);
+    let steps = |op: VectorOp, sew: usize| CompiledOp::compile(&op, sew).program().bit_steps();
+    for sew in [8usize, 16, 32] {
+        let tri = sew * (sew + 1) / 2;
+        assert_eq!(
+            steps(VectorOp::Mul { vd, vs1, vs2 }, sew),
+            tri,
+            "vmul.vv e{sew}"
+        );
+        assert_eq!(
+            steps(VectorOp::Macc { vd, vs1, vs2 }, sew),
+            tri,
+            "vmacc e{sew}"
+        );
+        assert_eq!(
+            steps(VectorOp::Add { vd, vs1, vs2 }, sew),
+            sew,
+            "vadd.vv e{sew}"
+        );
+        assert_eq!(
+            steps(VectorOp::Sub { vd, vs1, vs2 }, sew),
+            sew,
+            "vsub.vv e{sew}"
+        );
+        let rs = 0x5A5A_A5A5;
+        assert_eq!(
+            steps(VectorOp::AddScalar { vd, vs1, rs }, sew),
+            sew,
+            "vadd.vx e{sew}"
+        );
+        assert_eq!(
+            steps(VectorOp::SubScalar { vd, vs1, rs }, sew),
+            sew,
+            "vsub.vx e{sew}"
+        );
+        assert_eq!(
+            steps(VectorOp::RsubScalar { vd, vs1, rs }, sew),
+            sew,
+            "vrsub.vx e{sew}"
+        );
+        assert_eq!(
+            steps(VectorOp::Increment { vd }, sew),
+            sew,
+            "increment e{sew}"
+        );
+    }
+    assert_eq!(steps(VectorOp::Mul { vd, vs1, vs2 }, 8), 36);
+    assert_eq!(steps(VectorOp::Mul { vd, vs1, vs2 }, 32), 528);
+    assert_eq!(steps(VectorOp::Macc { vd, vs1, vs2 }, 32), 528);
+    // vd aliasing the subtrahend lowers to NOT plus an incrementing adder.
+    assert_eq!(steps(VectorOp::Sub { vd: 2, vs1, vs2 }, 32), 32);
+    // One pass per set multiplier bit j, of 32 - j steps each.
+    let rs = 0xDEAD_BEEF;
+    assert_eq!(steps(VectorOp::MulScalar { vd, vs1, rs }, 32), 410);
+    // What the kernels run: the clears plus one op per bit-step.
+    let mul = CompiledOp::compile(&VectorOp::Mul { vd, vs1, vs2 }, 32);
+    assert_eq!(
+        (mul.program().len(), mul.program().kernel_len()),
+        (4225, 561)
+    );
+    let add = CompiledOp::compile(&VectorOp::Add { vd, vs1, vs2 }, 32);
+    assert_eq!((add.program().len(), add.program().kernel_len()), (259, 36));
+}
+
+/// Runs `program` on seeded CSBs against scalar reference chains: 4
+/// chains (one block at span 4) and 20 chains (a span-16 block and a
+/// span-4 one), on full and partial windows, clean and armed, checking
+/// `parity_consistent()` after every armed run.
+fn assert_window_matches_scalar(program: &MicroProgram) {
+    for (chains, vstart, vl) in [
+        (4usize, 0usize, 128usize),
+        (4, 5, 99),
+        (20, 0, 640),
+        (20, 7, 384),
+    ] {
+        for armed in [false, true] {
+            let mut csb = seeded_csb(chains);
+            if armed {
+                csb.enable_fault_injection(FaultConfig::quiescent(1));
+            }
+            csb.set_active_window(vstart, vl);
+            let mut reference: Vec<Chain> = (0..chains).map(|c| csb.chain(c)).collect();
+            let windows: Vec<u32> = (0..chains).map(|c| csb.window(c)).collect();
+            let sums = csb.execute_program(program);
+            let ctx = format!("chains={chains} window={vstart}..{vl} armed={armed}");
+            assert_eq!(
+                sums,
+                reference_program(&mut reference, &windows, program),
+                "{ctx}"
+            );
+            assert_eq!(csb.stats(), program.stats(), "microop stats: {ctx}");
+            for (c, want) in reference.iter().enumerate() {
+                assert_eq!(&csb.chain(c), want, "chain {c}: {ctx}");
+            }
+            if armed {
+                assert!(
+                    csb.parity_consistent(),
+                    "parity after the fused window: {ctx}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_vmul_window_matches_scalar_chains_at_both_spans_armed_and_clean() {
+    // A window of vmul.vv and a following op keeps only its fused form,
+    // derived after dead-store elimination. Inside the window the MSB
+    // carry search of every shift-add pass is dead (the tag group's `Set`
+    // search overwrites its match store unread), so those bit-steps fuse
+    // from a shorter run than in the vmul program alone.
+    let mul = CompiledOp::compile(
+        &VectorOp::Mul {
+            vd: 3,
+            vs1: 1,
+            vs2: 2,
+        },
+        32,
+    );
+    let next = CompiledOp::compile(
+        &VectorOp::Add {
+            vd: 4,
+            vs1: 3,
+            vs2: 1,
+        },
+        32,
+    );
+    let window = fuse_window(&[&mul, &next], false);
+    let program: &MicroProgram = window.program();
+    assert!(
+        program.dead_stores() >= 32,
+        "the MSB carry searches are dead"
+    );
+    assert_eq!(program.bit_steps(), 528 + 32);
+    assert_eq!(program.len(), mul.program().len() + next.program().len());
+    // The dead stores all sit inside bit-steps that still fuse: the
+    // window runs exactly its parts' kernel ops.
+    assert_eq!(
+        program.kernel_len(),
+        mul.program().kernel_len() + next.program().kernel_len()
+    );
+    assert_window_matches_scalar(program);
+}
+
+#[test]
+fn window_whose_passes_cut_its_bit_steps_runs_its_parts_fused() {
+    // v3 is written by the add and fully overwritten by the broadcast:
+    // dead-store elimination drops every destination write of the add,
+    // and the carry chains left of its bit-steps equal no fused step.
+    // Derived from them, the window would run them op by op; it runs its
+    // parts' fused plans end to end instead.
+    let add = CompiledOp::compile(
+        &VectorOp::Add {
+            vd: 3,
+            vs1: 1,
+            vs2: 2,
+        },
+        32,
+    );
+    let broadcast = CompiledOp::compile(&VectorOp::Broadcast { vd: 3, rs: 0xab }, 32);
+    let window = fuse_window(&[&add, &broadcast], false);
+    let program: &MicroProgram = window.program();
+    assert!(program.dead_stores() >= 32, "the add's result is dead");
+    assert!(program.plan_len() < add.program().plan_len() + broadcast.program().plan_len());
+    assert_eq!(
+        program.kernel_len(),
+        add.program().kernel_len() + broadcast.program().kernel_len()
+    );
+    assert_eq!(program.bit_steps(), 32);
+    assert_window_matches_scalar(program);
 }
