@@ -11,11 +11,15 @@
 //!    The arithmetic ops run as fused bit-steps: the gate first asserts
 //!    the plan lengths the kernels run (561 ops for `vmul.vv`, 36 for
 //!    `vadd.vv`), so a fallback to the unfused searches and updates fails.
-//!    It runs at 1 024 chains (64 full blocks), on a CAPE-tiny CSB of
-//!    4 chains (one block, 12 of its lanes padding) and on a 20-chain CSB
-//!    whose second block holds 4 chains. A block whose live lanes all lie
-//!    in lanes 0-3 runs the span-4 kernels and any other the span-16
-//!    ones, so at 20 chains one plan goes through both.
+//!    Two fusion windows run beside the ops, `vmul.vv`+`vadd.vv` and
+//!    `vadd.vv`+`vmv.v.x` into the sum's register, and each must run
+//!    exactly its parts' plan ops: a window keeps its parts' bit-steps
+//!    whole. It runs at 1 024 chains (64 full blocks, through the worker
+//!    pool on a multi-core host), on a CAPE-tiny CSB of 4 chains (one
+//!    block, 12 of its lanes padding) and on a 20-chain CSB whose second
+//!    block holds 4 chains. A block whose live lanes all lie in lanes 0-3
+//!    runs the span-4 kernels and any other the span-16 ones, so at 20
+//!    chains one plan goes through both.
 //! 2. **Ratio:** a whole `vadd.vv` program through the block path must
 //!    be no slower than the scalar chain-at-a-time broadcast sweep it
 //!    replaced, with a generous 1.2× noise margin.
@@ -25,7 +29,7 @@
 use std::time::Instant;
 
 use cape_csb::{Chain, Csb, CsbGeometry, MicroOp, MicroProgram};
-use cape_ucode::{CompiledOp, VectorOp};
+use cape_ucode::{fuse_window, CompiledOp, VectorOp};
 
 const CHAINS: usize = 1024;
 
@@ -73,17 +77,16 @@ fn scalar_sweep(chains: &mut [Chain], windows: &[u32], program: &MicroProgram) -
     sums
 }
 
-fn differential(chains: usize, op: &VectorOp, vstart: usize, vl: usize) {
+fn differential(chains: usize, name: &str, program: &MicroProgram, vstart: usize, vl: usize) {
     let mut csb = seeded_csb(chains);
     csb.set_active_window(vstart, vl);
     let mut reference: Vec<Chain> = (0..chains).map(|c| csb.chain(c)).collect();
     let windows: Vec<u32> = (0..chains).map(|c| csb.window(c)).collect();
 
-    let compiled = CompiledOp::compile(op, 32);
-    let block_sums = csb.execute_program(compiled.program());
-    let ref_sums = scalar_sweep(&mut reference, &windows, compiled.program());
+    let block_sums = csb.execute_program(program);
+    let ref_sums = scalar_sweep(&mut reference, &windows, program);
 
-    let ctx = format!("{op:?} chains={chains} window={vstart}..{vl}");
+    let ctx = format!("{name} chains={chains} window={vstart}..{vl}");
     assert_eq!(block_sums, ref_sums, "reduction sums diverged: {ctx}");
     for (c, want) in reference.iter().enumerate() {
         assert_eq!(&csb.chain(c), want, "chain {c} diverged: {ctx}");
@@ -138,31 +141,60 @@ fn main() {
             rs: 0x7F,
         },
     ];
+    let compiled: Vec<CompiledOp> = ops.iter().map(|op| CompiledOp::compile(op, 32)).collect();
+    let (add, mul) = (&compiled[0], &compiled[4]);
     for (op, want) in [(&ops[4], 561), (&ops[0], 36)] {
-        let len = CompiledOp::compile(op, 32).program().kernel_len();
+        let len = CompiledOp::compile(op, 32).program().plan_len();
         println!("  {op:?}: the kernels run {len} plan ops");
         assert_eq!(
             len, want,
             "{op:?} must run {want} plan ops (fused bit-steps)"
         );
     }
-    for chains in [CHAINS, TINY_CHAINS, MIXED_CHAINS] {
-        let max_vl = chains * 32;
-        for op in &ops {
-            differential(chains, op, 0, max_vl); // full window
-            differential(chains, op, 7, max_vl * 6 / 10); // restart + tail gating
+    // The sum reads the product; the broadcast overwrites the sum.
+    let sum = CompiledOp::compile(
+        &VectorOp::Add {
+            vd: 4,
+            vs1: 3,
+            vs2: 1,
+        },
+        32,
+    );
+    let broadcast = CompiledOp::compile(&VectorOp::Broadcast { vd: 3, rs: 0xab }, 32);
+    let fused = [
+        ("vmul.vv+vadd.vv", [mul, &sum]),
+        ("vadd.vv+vmv.v.x", [add, &broadcast]),
+    ]
+    .map(|(name, parts)| {
+        let window = fuse_window(&parts, false);
+        let want: usize = parts.iter().map(|p| p.program().plan_len()).sum();
+        let len = window.program().plan_len();
+        println!("  window {name}: the kernels run {len} plan ops");
+        assert_eq!(len, want, "window {name} must run its parts' plan ops");
+        (name.to_string(), window)
+    });
+    let programs = ops
+        .iter()
+        .zip(&compiled)
+        .map(|(op, c)| (format!("{op:?}"), c))
+        .chain(fused.iter().map(|(name, w)| (format!("window {name}"), w)));
+    for (name, program) in programs {
+        for chains in [CHAINS, TINY_CHAINS, MIXED_CHAINS] {
+            let max_vl = chains * 32;
+            let program = program.program();
+            differential(chains, &name, program, 0, max_vl); // full window
+            differential(chains, &name, program, 7, max_vl * 6 / 10); // restart + tail gating
         }
     }
 
     println!("[2/2] coarse ratio (vadd.vv, {CHAINS} chains, best of 5)");
-    let compiled = CompiledOp::compile(&ops[0], 32);
     let iters = 5;
 
     let mut csb = seeded_csb(CHAINS);
     let mut block_best = u128::MAX;
     for _ in 0..iters {
         let t = Instant::now();
-        csb.execute_program(compiled.program());
+        csb.execute_program(add.program());
         block_best = block_best.min(t.elapsed().as_nanos());
     }
 
@@ -172,7 +204,7 @@ fn main() {
     let mut scalar_best = u128::MAX;
     for _ in 0..iters {
         let t = Instant::now();
-        scalar_sweep(&mut reference, &windows, compiled.program());
+        scalar_sweep(&mut reference, &windows, add.program());
         scalar_best = scalar_best.min(t.elapsed().as_nanos());
     }
 

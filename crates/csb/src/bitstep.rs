@@ -16,14 +16,21 @@
 //! accumulator bits of `s` and up to six cells, 512 cases, evaluated as
 //! bitwise ops on `[u64; 8]`. A run it cannot prove keeps its ops.
 //!
+//! Derivation runs once per instruction, when [`MicroProgram::new`]
+//! compiles it: its bit positions follow each other, and a candidate run
+//! ends where the next position's search moves to another subarray. A
+//! fusion window takes its parts' bit-steps as they are.
+//!
 //! The check depends only on the run's *shape*: its searches and writes
 //! over cells numbered by first appearance, where each plan op ends, plus
 //! each cell's subarray relation (`s`, `s + 1`, other) and its row
 //! numbered by first appearance. Shapes are memoized per thread with the
-//! longest prefix of the run the check proved, so one check serves every
-//! step of a shape (a whole `tenants` run checks a few dozen) and a
-//! position costs one encoding and at most one lookup; debug builds
-//! re-check every instantiation against its own run.
+//! bit-step the check proved, or none, so one check serves every step of
+//! a shape (a whole `tenants` run checks a few dozen) and a position costs
+//! one encoding and at most one lookup; debug builds re-check every
+//! instantiation against its own run.
+//!
+//! [`MicroProgram::new`]: crate::MicroProgram::new
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -31,7 +38,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{BitAnd, BitOr, BitXor, Not};
 
 use crate::microop::{TagDest, TagMode};
-use crate::program::{table_offset, KernelOp, Plan, PlanOp, PlanProbe, PlanWrite};
+use crate::program::{table_offset, Plan, PlanOp, PlanProbe, PlanWrite};
 
 /// Row `row` of subarray `sub`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,9 +131,7 @@ struct Template {
 }
 
 impl Template {
-    /// The bit-step this template makes of the run `shape` (or of a
-    /// prefix of it: cells are numbered by first appearance, so a
-    /// prefix's cells lead the run's).
+    /// The bit-step this template makes of the run `shape`.
     fn instantiate(&self, shape: &Shape) -> BitStep {
         let cell = |id: u8| shape.cell_at(usize::from(id));
         BitStep {
@@ -724,9 +729,8 @@ impl Hasher for WordHasher {
     }
 }
 
-/// Per shape: the longest prefix of the run, in plan ops, that the check
-/// proved a bit-step, and that bit-step.
-type Memo = HashMap<Key, Option<(u8, Template)>, BuildHasherDefault<WordHasher>>;
+/// Per shape: the bit-step the check proved the run equal to, if any.
+type Memo = HashMap<Key, Option<Template>, BuildHasherDefault<WordHasher>>;
 
 thread_local! {
     /// Checked shapes and what each one proved.
@@ -747,28 +751,17 @@ fn one_probe_subarray(op: &PlanOp, plan: &Plan) -> Option<u8> {
     }
 }
 
-/// The longest prefix of the candidate run `run` (at least two ops) that
-/// the check proves a bit-step, longest first: where a window joins two
-/// instructions the next one may open with a search in the same
-/// subarray. Runs once per shape.
-fn longest_step(run: &[PlanOp], plan: &Plan, s: u8) -> Option<(u8, Template)> {
-    (2..=run.len()).rev().find_map(|len| {
-        let (shape, _) = Shape::encode(&run[..len], plan, s)?;
-        find_template(&shape.key).map(|t| (len as u8, t))
-    })
-}
-
 /// The memo, and the last shape looked up in it with what it proved:
 /// the bit positions of one pass share a shape, so most steps skip the
 /// hash lookup.
 struct Shapes<'a> {
     memo: &'a mut Memo,
-    last: (Key, Option<(u8, Template)>),
+    last: (Key, Option<Template>),
 }
 
-/// The bit-step that replaces the longest provable run at the start of
-/// `ops`, with the run's length: one encoding of the candidate run and
-/// at most one memo lookup.
+/// The bit-step that replaces the candidate run at the start of `ops`,
+/// with the run's length: one encoding of the run and at most one memo
+/// lookup.
 fn bit_step_at(ops: &[PlanOp], plan: &Plan, shapes: &mut Shapes) -> Option<(usize, BitStep)> {
     let s = one_probe_subarray(&ops[0], plan)?;
     let (shape, len) = Shape::encode(ops, plan, s)?;
@@ -779,29 +772,24 @@ fn bit_step_at(ops: &[PlanOp], plan: &Plan, shapes: &mut Shapes) -> Option<(usiz
         let proved = *shapes
             .memo
             .entry(shape.key)
-            .or_insert_with(|| longest_step(&ops[..len], plan, s));
+            .or_insert_with(|| find_template(&shape.key));
         shapes.last = (shape.key, proved);
     }
-    let (n, template) = shapes.last.1?;
-    let n = usize::from(n);
-    let step = template.instantiate(&shape);
+    let step = shapes.last.1?.instantiate(&shape);
     debug_assert!(
-        Shape::encode(&ops[..n], plan, s).is_some_and(|(prefix, _)| prefix.admits(&step)),
+        shape.admits(&step),
         "{step:?} is not the run {:?}",
-        &ops[..n]
+        &ops[..len]
     );
-    Some((n, step))
+    Some((len, step))
 }
 
-/// The fused form of `plan`, the plan the kernels run: every run of its
-/// ops that the exhaustive check proves a [`BitStep`] becomes that one
-/// op, every other op stays, and the side tables keep only what the
-/// remaining ops index (all of them when nothing fused). Reductions and
-/// written rows are the plan's.
-pub(crate) fn derive(plan: &Plan) -> Plan<KernelOp> {
-    fn kept(ops: &[PlanOp]) -> impl Iterator<Item = KernelOp> + '_ {
-        ops.iter().map(|&op| KernelOp::Op(op))
-    }
+/// `plan` with every run of its ops that the exhaustive check proves a
+/// [`BitStep`] replaced by that one [`PlanOp::BitStep`]; every other op
+/// stays. Where something fused, the side tables keep only what the
+/// remaining ops index; where nothing did, the plan comes back untouched.
+/// Reductions and written rows are the plan's.
+pub(crate) fn derive(plan: Plan) -> Plan {
     let (mut ops, mut copied) = (Vec::new(), 0);
     SHAPES.with_borrow_mut(|memo| {
         if memo.len() > MEMO_CAP {
@@ -814,10 +802,10 @@ pub(crate) fn derive(plan: &Plan) -> Plan<KernelOp> {
         };
         let mut i = 0;
         while i < plan.ops.len() {
-            match bit_step_at(&plan.ops[i..], plan, &mut shapes) {
+            match bit_step_at(&plan.ops[i..], &plan, &mut shapes) {
                 Some((len, step)) => {
-                    ops.extend(kept(&plan.ops[copied..i]));
-                    ops.push(KernelOp::BitStep(step));
+                    ops.extend_from_slice(&plan.ops[copied..i]);
+                    ops.push(PlanOp::BitStep(step));
                     i += len;
                     copied = i;
                 }
@@ -826,30 +814,24 @@ pub(crate) fn derive(plan: &Plan) -> Plan<KernelOp> {
         }
     });
     if copied == 0 {
-        return Plan {
-            ops: kept(&plan.ops).collect(),
-            probes: plan.probes.clone(),
-            writes: plan.writes.clone(),
-            reduces: plan.reduces,
-            written_rows: plan.written_rows,
-        };
+        return plan;
     }
-    ops.extend(kept(&plan.ops[copied..]));
+    ops.extend_from_slice(&plan.ops[copied..]);
     ops.shrink_to_fit();
     let (mut probes, mut writes) = (Vec::new(), Vec::new());
     for op in &mut ops {
         match op {
-            KernelOp::Op(PlanOp::Search {
+            PlanOp::Search {
                 at,
                 probes: np,
                 gates,
                 ..
-            }) => {
+            } => {
                 let n = usize::from(*np) + usize::from(*gates);
                 let from = std::mem::replace(at, table_offset(probes.len()));
                 probes.extend_from_slice(&plan.probes[from as usize..][..n]);
             }
-            KernelOp::Op(PlanOp::Update { at, n }) => {
+            PlanOp::Update { at, n } => {
                 let from = std::mem::replace(at, table_offset(writes.len()));
                 writes.extend_from_slice(plan.update(from, *n));
             }
@@ -860,13 +842,12 @@ pub(crate) fn derive(plan: &Plan) -> Plan<KernelOp> {
         ops,
         probes,
         writes,
-        reduces: plan.reduces,
-        written_rows: plan.written_rows,
+        ..plan
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::csb::{scalar_reference, Csb};
     use crate::geometry::{CsbGeometry, SUBARRAYS_PER_CHAIN};
@@ -876,20 +857,20 @@ mod tests {
     use proptest::prelude::*;
 
     /// The destination, addend and gate rows of the steps below.
-    const D: usize = 3;
-    const A: usize = 2;
-    const G: usize = 5;
+    pub(crate) const D: usize = 3;
+    pub(crate) const A: usize = 2;
+    pub(crate) const G: usize = 5;
 
     /// One adder bit-step as the sequencer's truth-table pass emits it:
     /// bit `s`, the addend bit in subarray `a_sub` (a gate when it is not
     /// `s`, as in `vmul`'s shifted passes), an optional multiplier gate in
     /// subarray `gate`, and the carry into `s + 1` unless `s` is the MSB.
     #[derive(Debug, Clone, Copy)]
-    struct Spec {
-        s: usize,
-        a_sub: usize,
-        gate: Option<usize>,
-        carry_out: bool,
+    pub(crate) struct Spec {
+        pub s: usize,
+        pub a_sub: usize,
+        pub gate: Option<usize>,
+        pub carry_out: bool,
     }
 
     impl Spec {
@@ -948,7 +929,7 @@ mod tests {
 
         /// The carry group, the accumulator and tag groups of the full
         /// adder, then the two groups' updates.
-        fn ops(&self) -> Vec<MicroOp> {
+        pub(crate) fn ops(&self) -> Vec<MicroOp> {
             let mut ops = vec![self.search(None, true, true, TagDest::Tags, TagMode::Set)];
             ops.extend(self.update(None, true, TagDest::Tags));
             ops.push(self.search(Some(false), false, true, TagDest::Acc, TagMode::Set));
@@ -988,7 +969,7 @@ mod tests {
     /// Runs `prog` against the scalar `Chain` oracle over `ops` on a full
     /// window (8 live chains: span 16) and a partial one (chains 0-2:
     /// span 4, the last one partly masked).
-    fn assert_matches_oracle(prog: &MicroProgram, ops: &[MicroOp]) {
+    pub(crate) fn assert_matches_oracle(prog: &MicroProgram, ops: &[MicroOp]) {
         for (vstart, vl) in [(0, 256), (5, 77)] {
             let mut csb = seeded(vstart, vl);
             let (chains, sums) = scalar_reference(&csb, ops);
@@ -1039,7 +1020,7 @@ mod tests {
         for spec in SPECS {
             let ops = spec.ops();
             let prog = MicroProgram::new(ops.clone());
-            assert_eq!((prog.bit_steps(), prog.kernel_len()), (1, 1), "{spec:?}");
+            assert_eq!((prog.bit_steps(), prog.plan_len()), (1, 1), "{spec:?}");
             assert_matches_oracle(&prog, &ops);
         }
     }

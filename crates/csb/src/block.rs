@@ -41,7 +41,7 @@ use crate::bitstep::{Addend, BitStep};
 use crate::chain::Chain;
 use crate::geometry::{SUBARRAYS_PER_CHAIN, SUBARRAY_COLS};
 use crate::microop::{TagDest, TagMode};
-use crate::program::{KernelOp, Plan, PlanOp, PlanProbe, PlanWrite};
+use crate::program::{Plan, PlanOp, PlanProbe, PlanWrite};
 use crate::subarray::{DATA_ROWS, TOTAL_ROWS};
 
 /// Chains per block: 16 `u32` row-slices = one 64-byte cache line.
@@ -239,10 +239,6 @@ impl ChainBlock {
     /// pre- and post-broadcast hooks), so a struck row keeps its
     /// fold/parity mismatch through any write (DESIGN.md §15).
     ///
-    /// The plan is the fused form ([`Plan`]): its [`BitStep`]s run as
-    /// [`ChainBlock::bit_step`], every other op as
-    /// [`ChainBlock::execute_plan`].
-    ///
     /// This and the kernels it calls are always inlined, so the
     /// broadcast loop over a plan ([`Shard::run`](crate::pool::Shard::run))
     /// compiles to one loop per span with no call per op, and the match
@@ -250,7 +246,7 @@ impl ChainBlock {
     #[inline(always)]
     pub fn run_plan<const N: usize>(
         &mut self,
-        plan: &Plan<KernelOp>,
+        plan: &Plan,
         win: &Lanes,
         parity: bool,
         sums: &mut [u64],
@@ -265,14 +261,7 @@ impl ChainBlock {
         }
         let mut k = 0;
         for op in &plan.ops {
-            let r = match op {
-                KernelOp::BitStep(step) => {
-                    self.bit_step::<N>(step, win);
-                    None
-                }
-                KernelOp::Op(op) => self.execute_plan::<N>(op, plan, win),
-            };
-            if let Some(r) = r {
+            if let Some(r) = self.execute_plan::<N>(op, plan, win) {
                 sums[k] += r;
                 k += 1;
             }
@@ -293,10 +282,10 @@ impl ChainBlock {
         }
     }
 
-    /// Executes one lowered microop of `plan` across the block's first
-    /// `N` lanes (its span; see [`ChainBlock::run_plan`]), reading a
-    /// general search's probes or a general update's writes from the
-    /// plan's tables. Returns the window-masked tag popcount summed over
+    /// Executes one op of `plan` across the block's first `N` lanes (its
+    /// span; see [`ChainBlock::run_plan`]), reading a general search's
+    /// probes or a general update's writes from the plan's tables; a
+    /// [`BitStep`] runs as [`ChainBlock::bit_step`]. Returns the window-masked tag popcount summed over
     /// the lanes for [`PlanOp::ReduceTags`], `None` otherwise. `Read` is
     /// a no-op here: row data is chain-local and consumers read block
     /// state after the program completes. Row writes leave the parity
@@ -306,10 +295,14 @@ impl ChainBlock {
     fn execute_plan<const N: usize>(
         &mut self,
         op: &PlanOp,
-        plan: &Plan<KernelOp>,
+        plan: &Plan,
         win: &Lanes,
     ) -> Option<u64> {
         match *op {
+            PlanOp::BitStep(step) => {
+                self.bit_step::<N>(&step, win);
+                None
+            }
             PlanOp::SearchOne { probe, dest, mode } => {
                 let m = self.probe_match::<N>(&probe, win);
                 self.accumulate::<N>(probe.subarray as usize, &m, dest, mode, win);
@@ -1043,7 +1036,7 @@ mod tests {
     fn assert_block_matches_reference<const N: usize>(win: Lanes, seed: u32) {
         let (mut block, mut chains) = seeded_pair(seed);
         let program = MicroProgram::new(sample_ops());
-        let plan = program.kernel();
+        let plan = program.plan();
 
         let mut block_sums = vec![0; plan.reduces];
         block.run_plan::<N>(plan, &win, true, &mut block_sums);
@@ -1119,7 +1112,7 @@ mod tests {
         let mut win = [u32::MAX; BLOCK_LANES];
         win[4] = 0;
         let program = MicroProgram::new(sample_ops());
-        let plan = program.kernel();
+        let plan = program.plan();
         block.run_plan::<BLOCK_LANES>(plan, &win, false, &mut vec![0; plan.reduces]);
         assert_eq!(block.to_chain(4), before, "gated lane must not change");
         drop(chains);
@@ -1136,12 +1129,12 @@ mod tests {
         // A legitimate full overwrite of the struck row shifts data and
         // parity by the same delta: the mismatch (and syndrome) persist.
         let win = [u32::MAX; BLOCK_LANES];
-        let plan = crate::bitstep::derive(&Plan::lower(&[MicroOp::Write {
+        let plan = Plan::lower(&[MicroOp::Write {
             subarray: 7,
             row: 5,
             data: 0xFFFF_FFFF,
             mask: u32::MAX,
-        }]));
+        }]);
         block.run_plan::<BLOCK_LANES>(&plan, &win, true, &mut []);
         assert_eq!(block.rows[7][5], [u32::MAX; BLOCK_LANES]);
         assert_ne!(block.syndrome(), 0, "overwrite must not absorb the strike");

@@ -266,10 +266,10 @@ impl Csb {
             self.live_rows |= f.take_rows_written();
         }
         if self.use_pool() {
-            self.pool.run(&mut self.shards, program.kernel());
+            self.pool.run(&mut self.shards, program.plan());
         } else {
             for shard in &mut self.shards {
-                shard.run(program.kernel());
+                shard.run(program.plan());
             }
         }
         let mut sums = vec![0u64; program.reduce_count()];

@@ -22,7 +22,7 @@ use std::thread::JoinHandle;
 use crate::block::{ChainBlock, Lanes, BLOCK_LANES};
 use crate::chain::Chain;
 use crate::geometry::SUBARRAY_COLS;
-use crate::program::{KernelOp, Plan};
+use crate::program::Plan;
 
 /// The narrow lane span: a block whose non-gated lanes all lie below it
 /// (a CAPE-tiny block of 4 chains, or a window that ends in the first
@@ -163,7 +163,7 @@ impl Shard {
     /// one dispatch, and only a reduction yields a sum. Armed and clean
     /// shards run the same kernels; an armed one also folds the written
     /// rows into their parity before and after each block's plan.
-    pub fn run(&mut self, plan: &Plan<KernelOp>) {
+    pub fn run(&mut self, plan: &Plan) {
         self.refresh_active();
         let Shard {
             blocks,
@@ -330,7 +330,7 @@ impl Shard {
 /// over it.
 struct Job {
     shard: Shard,
-    plan: Arc<Plan<KernelOp>>,
+    plan: Arc<Plan>,
 }
 
 struct Worker {
@@ -389,7 +389,7 @@ impl WorkerPool {
     /// Fans the program out once over all shards and joins. Each shard is
     /// moved to its worker, run through every microop locally, and moved
     /// back with its partial sums filled in.
-    pub fn run(&mut self, shards: &mut [Shard], plan: &Arc<Plan<KernelOp>>) {
+    pub fn run(&mut self, shards: &mut [Shard], plan: &Arc<Plan>) {
         self.ensure(shards.len());
         for (slot, worker) in shards.iter_mut().zip(&self.workers) {
             let job = Job {
@@ -475,8 +475,8 @@ mod tests {
         ]
     }
 
-    fn sample_plan() -> Plan<KernelOp> {
-        crate::bitstep::derive(&Plan::lower(&sample_ops()))
+    fn sample_plan() -> Plan {
+        Plan::lower(&sample_ops())
     }
 
     /// Runs the original microops over materialized scalar chains — the

@@ -10,10 +10,9 @@
 //! [`Csb::execute_program`](crate::Csb::execute_program) pay one
 //! fan-out/fan-in per *instruction* instead of one per *microop*.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
-use crate::bitstep::{self, BitStep};
+use crate::bitstep::{self, Addend, BitStep, Cell};
 use crate::geometry::SUBARRAYS_PER_CHAIN;
 use crate::microop::{MicroOp, Probe, TagDest, TagMode, WriteSpec};
 use crate::stats::MicroOpStats;
@@ -62,17 +61,14 @@ pub(crate) struct PlanWrite {
     pub value: bool,
 }
 
-/// A microop lowered into the dense, pre-validated form of a plan's op
-/// list. Structural checks (probe key counts, one row per subarray per
-/// update, index ranges) happen once here, at compile time, instead of
-/// once per chain per op in the fan-out. The dominant bit-serial shapes —
-/// a single ungated probe, an update of one or two rows — get inline
-/// variants.
-///
-/// The op list is the *analysis form*: step fusion, `TagCombine` dedup,
-/// dead-store elimination and store counts all work on it. The kernels
-/// run the fused form derived from it last, whose ops are [`KernelOp`]s:
-/// a [`BitStep`] is no `PlanOp`, so no pass can meet one.
+/// A microop lowered into the dense, pre-validated form the kernels run.
+/// Structural checks (probe key counts, one row per subarray per update,
+/// index ranges) happen once here, at compile time, instead of once per
+/// chain per op in the fan-out. The dominant bit-serial shapes — a single
+/// ungated probe, an update of one or two rows — get inline variants, and
+/// a run of them that an exhaustive check proves equal to one
+/// truth-table bit-step becomes a [`PlanOp::BitStep`] when the
+/// instruction compiles ([`MicroProgram::new`]).
 ///
 /// Every variant is fixed-size `Copy` data. The two shapes with a
 /// variable operand count, a general search and a general update, hold
@@ -143,25 +139,9 @@ pub(crate) enum PlanOp {
         dst: u8,
         op: TagMode,
     },
-}
-
-/// An op of a plan's fused form, the form the kernels run: an op of the
-/// op list, or a [`BitStep`] that replaced a run of them
-/// ([`bitstep::derive`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum KernelOp {
-    Op(PlanOp),
+    /// One bit position of a truth-table pass, in place of the searches
+    /// and updates it replaced ([`bitstep::derive`]).
     BitStep(BitStep),
-}
-
-impl KernelOp {
-    /// This op with its table offsets moved by a window's concatenation.
-    fn shifted(self, probes: u32, writes: u32) -> Self {
-        match self {
-            KernelOp::Op(op) => KernelOp::Op(op.shifted(probes, writes)),
-            step => step,
-        }
-    }
 }
 
 // The broadcast loop copies plan ops and walks them as one array: keep
@@ -169,9 +149,7 @@ impl KernelOp {
 const _: () = {
     const fn copy<T: Copy>() {}
     copy::<PlanOp>();
-    copy::<KernelOp>();
     assert!(std::mem::size_of::<PlanOp>() <= 40);
-    assert!(std::mem::size_of::<KernelOp>() <= 40);
 };
 
 impl PlanOp {
@@ -189,14 +167,9 @@ impl PlanOp {
 
 /// A lowered broadcast plan: the ops, the side tables its general
 /// searches and updates index, how many reductions it produces and
-/// which rows it may write.
-///
-/// A plan comes in two forms. `Plan<PlanOp>` holds the op list, the
-/// analysis form every pass works on. `Plan<KernelOp>` is the fused form
-/// derived from it last ([`bitstep::derive`]) and the one the kernels run
-/// ([`ChainBlock::run_plan`](crate::block::ChainBlock::run_plan)): each
-/// verified bit-step run is one [`BitStep`], every other op is kept, and
-/// the tables hold only what the kept ops index.
+/// which rows it may write. It is what the kernels run
+/// ([`ChainBlock::run_plan`](crate::block::ChainBlock::run_plan)) and
+/// what a window's passes rewrite.
 ///
 /// Its ops and table entries are flat `Copy` data, so a window's plan is
 /// its parts' vectors copied end to end with the offsets shifted, and a
@@ -208,9 +181,9 @@ impl PlanOp {
 /// Equality is by content: ops compare with their table entries
 /// resolved ([`Plan::resolve`]), so it does not depend on the table
 /// layout or on how a window was split into parts.
-#[derive(Debug, Clone)]
-pub(crate) struct Plan<O = PlanOp> {
-    pub ops: Vec<O>,
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Plan {
+    pub ops: Vec<PlanOp>,
     pub probes: Vec<PlanProbe>,
     pub writes: Vec<PlanWrite>,
     /// The number of [`PlanOp::ReduceTags`] in `ops`: the length of the
@@ -236,25 +209,11 @@ pub(crate) enum Resolved<'a> {
         mode: TagMode,
     },
     Update(&'a [PlanWrite]),
-    /// Every other op holds all its operands itself, and so does a
-    /// fused bit-step.
+    /// Every other op holds all its operands itself.
     Inline(PlanOp),
-    BitStep(BitStep),
 }
 
-impl<O> Default for Plan<O> {
-    fn default() -> Self {
-        Self {
-            ops: Vec::new(),
-            probes: Vec::new(),
-            writes: Vec::new(),
-            reduces: 0,
-            written_rows: 0,
-        }
-    }
-}
-
-impl PartialEq for Plan<KernelOp> {
+impl PartialEq for Plan {
     fn eq(&self, other: &Self) -> bool {
         self.ops.len() == other.ops.len()
             && self
@@ -265,7 +224,7 @@ impl PartialEq for Plan<KernelOp> {
     }
 }
 
-impl Eq for Plan<KernelOp> {}
+impl Eq for Plan {}
 
 /// A table length as an op offset.
 pub(crate) fn table_offset(len: usize) -> u32 {
@@ -292,18 +251,10 @@ impl Plan {
         }
         plan
     }
-}
 
-impl<O: Copy> Plan<O> {
     /// The parts' plans end to end: tables appended, each op's offsets
-    /// moved by `shifted`. Three copies per part, no allocation per op.
-    fn concat<'a>(
-        parts: impl Iterator<Item = &'a Self> + Clone,
-        shifted: fn(O, u32, u32) -> O,
-    ) -> Self
-    where
-        O: 'a,
-    {
+    /// shifted. Three copies per part, no allocation per op.
+    fn concat<'a>(parts: impl Iterator<Item = &'a Self> + Clone) -> Self {
         let mut plan = Self {
             ops: Vec::with_capacity(parts.clone().map(|p| p.ops.len()).sum()),
             probes: Vec::with_capacity(parts.clone().map(|p| p.probes.len()).sum()),
@@ -317,15 +268,13 @@ impl<O: Copy> Plan<O> {
             plan.probes.extend_from_slice(&part.probes);
             plan.writes.extend_from_slice(&part.writes);
             plan.ops
-                .extend(part.ops.iter().map(|&op| shifted(op, probes, writes)));
+                .extend(part.ops.iter().map(|&op| op.shifted(probes, writes)));
             plan.reduces += part.reduces;
             plan.written_rows |= part.written_rows;
         }
         plan
     }
-}
 
-impl<O> Plan<O> {
     /// The match probes and gate probes of a [`PlanOp::Search`].
     #[inline(always)]
     pub(crate) fn search(&self, at: u32, probes: u8, gates: u8) -> (&[PlanProbe], &[PlanProbe]) {
@@ -340,11 +289,7 @@ impl<O> Plan<O> {
     }
 
     /// `op`, one of this plan's ops, with its table entries resolved.
-    pub(crate) fn resolve(&self, op: KernelOp) -> Resolved<'_> {
-        let op = match op {
-            KernelOp::Op(op) => op,
-            KernelOp::BitStep(step) => return Resolved::BitStep(step),
-        };
+    pub(crate) fn resolve(&self, op: PlanOp) -> Resolved<'_> {
         match op {
             PlanOp::Search {
                 at,
@@ -463,13 +408,16 @@ fn dedup_tag_combines(ops: &mut Vec<PlanOp>) {
 
 /// Stores a plan performs: row writes (`PlanWrite`s and raw
 /// [`PlanOp::Write`]s), search match stores (one per probe — the tag/acc
-/// latch), and tag-bus transfers. The peephole passes only ever remove
-/// stores, so the before/after difference of this count is the window's
-/// `dead_stores_eliminated` ledger. `fuse_steps` merges ops without
-/// dropping stores, so the count is invariant under step fusion.
+/// latch), tag-bus transfers, and a bit-step's destination row, tag and
+/// accumulator latches and carry-out row. The peephole passes only ever
+/// remove stores, so the before/after difference of this count is the
+/// window's `dead_stores_eliminated` ledger: stores its kernels no longer
+/// run. `fuse_steps` merges ops without dropping stores, so the count is
+/// invariant under step fusion.
 fn store_count(ops: &[PlanOp]) -> usize {
     ops.iter()
         .map(|op| match op {
+            PlanOp::BitStep(step) => 3 + usize::from(step.carry_out),
             PlanOp::SearchOne { .. } => 1,
             PlanOp::Step { nwrites, .. } => 1 + *nwrites as usize,
             PlanOp::Search { probes, .. } => usize::from(*probes),
@@ -571,9 +519,12 @@ impl Liveness {
 /// is a covered match store is dropped whole — and with it the probe
 /// reads it performed, so row coverage cascades through it. A
 /// [`PlanOp::Step`] whose match store is covered but whose row writes
-/// survive demotes to the bare update, and vice versa. The op list (and
-/// thus recorded stats, sync points, and modeled cycles/energy) is
-/// untouched — this shrinks host broadcast work only.
+/// survive demotes to the bare update, and vice versa. A
+/// [`PlanOp::BitStep`] is kept or dropped whole: it is dead when its
+/// destination row, its carry-out row and both latches of its subarray
+/// are covered. The op list (and thus recorded stats, sync points, and
+/// modeled cycles/energy) is untouched — this shrinks host broadcast work
+/// only.
 ///
 /// Works in place: the kept ops, and a general update's surviving
 /// writes inside its own table range, are packed in order against the
@@ -607,6 +558,40 @@ impl Liveness {
     /// covered.
     fn visit(&mut self, op: PlanOp, plan: &mut Plan) -> Option<PlanOp> {
         match op {
+            PlanOp::BitStep(step) => {
+                let s = usize::from(step.s);
+                let carry_out = step.carry_out.then_some(Cell {
+                    sub: step.s + 1,
+                    row: step.c,
+                });
+                // Dead when everything it stores is covered.
+                let rows = &mut self.rows;
+                let covered = rows[s][usize::from(step.d)]
+                    && carry_out.is_none_or(|co| rows[usize::from(co.sub)][usize::from(co.row)])
+                    && self.tags[s]
+                    && self.acc[s];
+                if covered {
+                    return None;
+                }
+                // A kept step rewrites both latches in every live lane
+                // and reads neither; it reads or partly writes each cell.
+                self.tags[s] = true;
+                self.acc[s] = true;
+                let addend = match step.addend {
+                    Addend::Cell(cell) => Some(cell),
+                    Addend::Const(_) => None,
+                };
+                let own = |row| Some(Cell { sub: step.s, row });
+                let gates = step.gates.map(|g| g.map(|(cell, _)| cell));
+                for cell in [own(step.d), own(step.c), carry_out, addend]
+                    .into_iter()
+                    .chain(gates)
+                    .flatten()
+                {
+                    rows[usize::from(cell.sub)][usize::from(cell.row)] = false;
+                }
+                Some(op)
+            }
             PlanOp::UpdateOne { write } => self
                 .visit_write(write)
                 .map(|w| PlanOp::UpdateOne { write: w }),
@@ -845,61 +830,26 @@ impl Plan {
     }
 }
 
-/// The op list's plan: lowered, then step-fused. The analysis form a
-/// window concatenates.
-fn lowered<'a>(ops: impl IntoIterator<Item = &'a MicroOp>) -> Plan {
-    let mut plan = Plan::lower(ops);
-    fuse_steps(&mut plan.ops);
-    plan
-}
-
-/// The plan a window's kernels run, given its op list's plan after the
-/// window passes: that plan's fused form, or, when the passes cut into
-/// bit-steps so that it runs more ops than its parts do one after the
-/// other, the parts' kernel plans end to end. A dead-store pass that drops
-/// a step's destination writes (its result is overwritten later in the
-/// window) leaves a remnant no `BitStep` equals, which runs op by op.
-fn window_kernel(plan: &Plan, parts: &[&MicroProgram]) -> Plan<KernelOp> {
-    let kernel = bitstep::derive(plan);
-    let parts_len: usize = parts.iter().map(|p| p.kernel_len()).sum();
-    if kernel.ops.len() <= parts_len {
-        kernel
-    } else {
-        Plan::concat(parts.iter().map(|p| &*p.kernel), KernelOp::shifted)
-    }
-}
-
 /// A compiled, immutable microop sequence executed as one broadcast unit.
 ///
-/// The op list and the lowered broadcast plans are reference-counted, so
+/// The op list and the lowered broadcast plan are reference-counted, so
 /// a cached program can be handed to every pool worker without
 /// deep-copying microops. The op list is held as shared handles to the
 /// op lists it was built from — one for [`MicroProgram::new`], one per
 /// part for a [`MicroProgram::windowed`] fusion window — so a window
 /// shares its microops with its parts instead of copying them.
 ///
-/// Every program holds the plan its kernels run, the fused form. A
-/// program built by [`MicroProgram::new`] in which a bit-step fused also
-/// keeps its op list's plan, because it may become a window part; where
-/// nothing fused, the fused form holds the same ops and a window lowers
-/// them again. A window is never concatenated again, so it keeps only the
-/// fused form.
+/// Every program holds one plan, the one its kernels run: lowered,
+/// step-fused and with its bit-steps derived once, when the instruction
+/// compiles. A window builds its plan from its parts' plans.
 ///
-/// Equality is by content: the op sequence, the plan the kernels run
-/// (with its table entries resolved, see `Plan`), the sync points and the
-/// dead-store count. How a window was split into parts enters it only
-/// where the window runs its parts' plans end to end (see
-/// [`MicroProgram::windowed`]).
+/// Equality is by content: the op sequence, the plan (with its table
+/// entries resolved, see `Plan`), the sync points and the dead-store
+/// count.
 #[derive(Debug, Clone)]
 pub struct MicroProgram {
     ops: Arc<[Arc<Vec<MicroOp>>]>,
-    /// The op list's plan, step-fused with nothing dropped: what a window
-    /// concatenates. `None` for a window and where nothing fused.
-    list: Option<Arc<Plan>>,
-    /// The plan the kernels run.
-    kernel: Arc<Plan<KernelOp>>,
-    /// Ops in the op list's plan after the window passes.
-    plan_len: usize,
+    plan: Arc<Plan>,
     sync_points: Vec<SyncPoint>,
     /// Stores the window peephole passes removed from the broadcast
     /// plan relative to plain concatenation — compile-time metadata, so
@@ -913,7 +863,7 @@ impl PartialEq for MicroProgram {
     fn eq(&self, other: &Self) -> bool {
         self.dead_stores == other.dead_stores
             && self.sync_points == other.sync_points
-            && self.kernel == other.kernel
+            && self.plan == other.plan
             && self.ops().eq(other.ops())
     }
 }
@@ -922,8 +872,10 @@ impl Eq for MicroProgram {}
 
 impl MicroProgram {
     /// Wraps an op sequence, locating its sync points and lowering the ops
-    /// into the dense plan the broadcast executor runs, then deriving the
-    /// plan's fused form.
+    /// into the dense plan the broadcast executor runs: step fusion, then
+    /// every run of ops the exhaustive check proves to be one truth-table
+    /// bit-step becomes one op. This is the only place a plan is lowered
+    /// or its bit-steps derived.
     pub fn new(ops: Vec<MicroOp>) -> Self {
         let sync_points = ops
             .iter()
@@ -940,20 +892,16 @@ impl MicroProgram {
                 _ => None,
             })
             .collect();
-        let plan = lowered(&ops);
+        let mut plan = Plan::lower(&ops);
+        fuse_steps(&mut plan.ops);
         let mut stats = MicroOpStats::new();
         for op in &ops {
             let (kind, bp) = op.classify();
             stats.record(kind, bp);
         }
-        let kernel = bitstep::derive(&plan);
         Self {
             ops: Arc::new([Arc::new(ops)]),
-            plan_len: plan.ops.len(),
-            // Where nothing fused the fused form holds the op list's ops
-            // themselves, so the program keeps no second copy of them.
-            list: (kernel.ops.len() < plan.ops.len()).then(|| Arc::new(plan)),
-            kernel: Arc::new(kernel),
+            plan: Arc::new(bitstep::derive(plan)),
             sync_points,
             dead_stores: 0,
             stats,
@@ -965,28 +913,19 @@ impl MicroProgram {
     /// a single fan-out/fan-in.
     ///
     /// The window is built from what its parts already compiled; no
-    /// microop is copied or lowered again. The parts' op-list plans are
-    /// concatenated — their op lists and side tables copied end to end,
-    /// table offsets shifted, nothing allocated per op — and step fusion
-    /// runs over the result. Each part's plan is already step-fused
-    /// inside, so this only fuses the seams (an op ending in a search
-    /// with a successor's opening update).
+    /// microop is copied or lowered again and no bit-step is derived
+    /// again. The parts' plans are concatenated — their ops and side
+    /// tables copied end to end, table offsets shifted, nothing allocated
+    /// per op — and step fusion runs over the result. Each part's plan is
+    /// already step-fused inside, so this only fuses the seams (an op
+    /// ending in a search with a successor's opening update).
     /// The cross-op peephole passes then run over the whole window:
     /// adjacent [`MicroOp::TagCombine`] dedup and dead-store elimination
     /// over rows, tags and accumulators (an intermediate `vd` or mask
     /// fully rewritten later in the window, unread in between, is never
-    /// materialized), both in place. For parts built by
-    /// [`MicroProgram::new`] the plan equals the one lowering the
-    /// concatenated op list would give. A part that holds no op-list plan
-    /// (a window, or a program in which nothing fused) has its ops
-    /// lowered again.
-    ///
-    /// Last, the fused form is derived from the result, and the window
-    /// keeps only that. Where the passes cut into bit-steps so far that
-    /// the fused form would run more ops than the parts' fused forms
-    /// together, the window runs those end to end instead: a window never
-    /// runs more kernel ops than its parts. [`Self::plan_len`] and
-    /// [`Self::dead_stores`] still describe the op list after the passes.
+    /// materialized), both in place. The passes only merge and drop ops,
+    /// and a bit-step is kept or dropped whole, so a window never runs
+    /// more plan ops than its parts.
     ///
     /// The *op* list is the unoptimized concatenation, held as shared
     /// handles to the parts' lists. Stats, sync points and written rows
@@ -997,18 +936,15 @@ impl MicroProgram {
     /// time; only the host broadcast plan shrinks, and the written-row
     /// mask still covers every row it writes.
     pub fn windowed(parts: &[&MicroProgram]) -> Self {
-        let lists: Vec<Cow<'_, Plan>> = parts.iter().map(|p| p.list()).collect();
-        let mut plan = Plan::concat(lists.iter().map(|p| &**p), PlanOp::shifted);
+        let mut plan = Plan::concat(parts.iter().map(|p| &*p.plan));
         fuse_steps(&mut plan.ops);
         let before = store_count(&plan.ops);
         dedup_tag_combines(&mut plan.ops);
         dead_store_eliminate_tagged(&mut plan);
         let mut fused = Self {
             ops: parts.iter().flat_map(|p| p.ops.iter().cloned()).collect(),
-            list: None,
             dead_stores: (before - store_count(&plan.ops)) as u32,
-            plan_len: plan.ops.len(),
-            kernel: Arc::new(window_kernel(&plan, parts)),
+            plan: Arc::new(plan),
             sync_points: Vec::new(),
             stats: MicroOpStats::new(),
         };
@@ -1026,16 +962,6 @@ impl MicroProgram {
         fused
     }
 
-    /// The op list's plan, for a window to concatenate: the one this
-    /// program keeps, or its ops lowered again for a program that keeps
-    /// none (a window, or a program in which nothing fused).
-    fn list(&self) -> Cow<'_, Plan> {
-        match &self.list {
-            Some(plan) => Cow::Borrowed(plan),
-            None => Cow::Owned(lowered(self.ops())),
-        }
-    }
-
     /// Stores the window peephole passes eliminated from this program's
     /// broadcast plan (row writes, search match stores, tag-bus
     /// transfers) relative to plain per-op concatenation. Zero for
@@ -1048,7 +974,7 @@ impl MicroProgram {
     /// (see [`Csb`](crate::Csb)'s live-row mask): the plan's
     /// `written_rows`, which for a window is the OR of its parts'.
     pub(crate) fn written_rows(&self) -> u64 {
-        self.kernel.written_rows
+        self.plan.written_rows
     }
 
     /// The microops in broadcast order. A window yields its parts' ops
@@ -1086,48 +1012,42 @@ impl MicroProgram {
     /// Number of reduction sync points — the length of the sum vector
     /// [`Csb::execute_program`](crate::Csb::execute_program) returns.
     pub fn reduce_count(&self) -> usize {
-        self.kernel.reduces
+        self.plan.reduces
     }
 
-    /// Number of ops in the op list's plan: [`Self::len`] minus the
-    /// steps removed by `fuse_steps` and (for windows) the cross-op
-    /// peephole passes — the observable size of the window passes' win.
-    /// Bit-step fusion is not counted here; [`Self::kernel_len`] is what
-    /// the kernels run.
+    /// Number of ops the kernels run per broadcast: [`Self::len`] minus
+    /// the microops merged by step fusion and bit-step derivation and, for
+    /// windows, the ops the cross-op peephole passes dropped. A `vmul.vv`
+    /// at SEW 32 runs 561 for its 4 225 microops, a `vadd.vv` 36 for 259.
+    /// A window never runs more than its parts together.
     pub fn plan_len(&self) -> usize {
-        self.plan_len
-    }
-
-    /// Number of plan ops the kernels run per broadcast: the op list's
-    /// plan with every fused bit-step counted as one op. A `vmul.vv` at
-    /// SEW 32 runs 561 for its 4 225 microops, a `vadd.vv` 36 for 259. A
-    /// window never runs more than its parts together.
-    pub fn kernel_len(&self) -> usize {
-        self.kernel.ops.len()
+        self.plan.ops.len()
     }
 
     /// Number of truth-table bit-steps the kernels run as one plan op
-    /// each ([`Self::kernel_len`] counts each as one): 32 for a `vadd.vv`
+    /// each ([`Self::plan_len`] counts each as one): 32 for a `vadd.vv`
     /// at SEW 32, 528 for a `vmul.vv`.
     pub fn bit_steps(&self) -> usize {
-        self.kernel
+        self.plan
             .ops
             .iter()
-            .filter(|op| matches!(op, KernelOp::BitStep(_)))
+            .filter(|op| matches!(op, PlanOp::BitStep(_)))
             .count()
     }
 
     /// The plan the kernels run, shared: handing it to a pool worker
     /// copies a handle, not the plan.
-    pub(crate) fn kernel(&self) -> &Arc<Plan<KernelOp>> {
-        &self.kernel
+    pub(crate) fn plan(&self) -> &Arc<Plan> {
+        &self.plan
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitstep::tests::{assert_matches_oracle, Spec, A, D, G};
     use crate::microop::{Probe, TagDest, TagMode};
+    use crate::subarray::ROW_CARRY;
 
     #[test]
     fn sync_points_locate_reduces_and_reads() {
@@ -1197,20 +1117,14 @@ mod tests {
     fn windowed_fuses_steps_across_op_seams() {
         let a = MicroProgram::new(vec![search1(0, 1)]);
         let b = MicroProgram::new(vec![upd1(0, 2, true)]);
-        assert!(matches!(
-            a.kernel().ops[0],
-            KernelOp::Op(PlanOp::SearchOne { .. })
-        ));
-        assert!(matches!(
-            b.kernel().ops[0],
-            KernelOp::Op(PlanOp::UpdateOne { .. })
-        ));
+        assert!(matches!(a.plan().ops[0], PlanOp::SearchOne { .. }));
+        assert!(matches!(b.plan().ops[0], PlanOp::UpdateOne { .. }));
         let fused = MicroProgram::windowed(&[&a, &b]);
         assert_eq!(fused.len(), 2, "op list is the plain concatenation");
         assert_eq!(fused.plan_len(), 1, "seam search+update fuse to a step");
         assert!(matches!(
-            fused.kernel().ops[0],
-            KernelOp::Op(PlanOp::Step { nwrites: 1, .. })
+            fused.plan().ops[0],
+            PlanOp::Step { nwrites: 1, .. }
         ));
     }
 
@@ -1239,8 +1153,8 @@ mod tests {
         assert_eq!(fused.plan_len(), 1, "first store is dead");
         assert!(
             matches!(
-                fused.kernel().ops[0],
-                KernelOp::Op(PlanOp::UpdateOne { write }) if !write.value
+                fused.plan().ops[0],
+                PlanOp::UpdateOne { write } if !write.value
             ),
             "the surviving store is the later one"
         );
@@ -1269,12 +1183,12 @@ mod tests {
         // The probe fuses with the trailing update into a step, but the
         // first store must survive: the search reads the row.
         let writes: usize = fused
-            .kernel()
+            .plan()
             .ops
             .iter()
             .map(|p| match p {
-                KernelOp::Op(PlanOp::UpdateOne { .. }) => 1,
-                KernelOp::Op(PlanOp::Step { nwrites, .. }) => *nwrites as usize,
+                PlanOp::UpdateOne { .. } => 1,
+                PlanOp::Step { nwrites, .. } => *nwrites as usize,
                 _ => 0,
             })
             .sum();
@@ -1415,14 +1329,108 @@ mod tests {
             3,
             "a search's two stores and one write"
         );
-        assert_eq!(window.kernel(), lean.kernel());
-        assert_ne!(window.kernel().ops, lean.kernel().ops, "offsets differ");
+        assert_eq!(window.plan(), lean.plan());
+        assert_ne!(window.plan().ops, lean.plan().ops, "offsets differ");
     }
 
     #[test]
     fn single_instruction_programs_report_no_dead_stores() {
         let prog = MicroProgram::new(vec![search1(0, 1), upd1(0, 2, true)]);
         assert_eq!(prog.dead_stores(), 0);
+    }
+
+    /// The adder bit-step of subarray 4 with a gate in subarray 2: it
+    /// reads rows `D`, `ROW_CARRY` and `A` of subarray 4 and row `G` of
+    /// subarray 2, and writes row `D` of 4, `ROW_CARRY` of 5 and both
+    /// latches of 4.
+    const STEP: Spec = Spec {
+        s: 4,
+        a_sub: 4,
+        gate: Some(2),
+        carry_out: true,
+    };
+
+    /// A `Set` search of row `G` of subarray 4 into `dest`: it covers that
+    /// latch of the step's subarray and reads no cell of the step.
+    fn latch(dest: TagDest) -> MicroOp {
+        MicroOp::Search {
+            probes: vec![Probe::row(4, G, true)],
+            gates: vec![],
+            dest,
+            mode: TagMode::Set,
+        }
+    }
+
+    /// The window of `before`, [`STEP`] and `after`, checked against the
+    /// scalar chains on full and partial windows.
+    fn window_around_step(before: Vec<MicroOp>, after: Vec<MicroOp>) -> MicroProgram {
+        let step = MicroProgram::new(STEP.ops());
+        assert_eq!(step.bit_steps(), 1);
+        let ops: Vec<MicroOp> = before
+            .iter()
+            .chain(&STEP.ops())
+            .chain(&after)
+            .cloned()
+            .collect();
+        let parts = [MicroProgram::new(before), step, MicroProgram::new(after)];
+        let window = MicroProgram::windowed(&[&parts[0], &parts[1], &parts[2]]);
+        assert_matches_oracle(&window, &ops);
+        window
+    }
+
+    /// Writes covering the step's destination and carry-out rows.
+    fn cover_rows() -> Vec<MicroOp> {
+        vec![upd1(4, D, false), upd1(5, ROW_CARRY, true)]
+    }
+
+    #[test]
+    fn a_bit_step_whose_accumulator_is_live_is_kept() {
+        let mut after = cover_rows();
+        after.push(latch(TagDest::Tags));
+        let window = window_around_step(vec![], after);
+        assert_eq!((window.bit_steps(), window.dead_stores()), (1, 0));
+    }
+
+    #[test]
+    fn a_bit_step_whose_tags_are_live_is_kept() {
+        let mut after = cover_rows();
+        after.push(latch(TagDest::Acc));
+        let window = window_around_step(vec![], after);
+        assert_eq!((window.bit_steps(), window.dead_stores()), (1, 0));
+    }
+
+    #[test]
+    fn a_bit_step_with_every_output_covered_is_dropped_whole() {
+        let mut after = cover_rows();
+        after.extend([latch(TagDest::Tags), latch(TagDest::Acc)]);
+        let window = window_around_step(vec![], after);
+        assert_eq!(window.bit_steps(), 0);
+        assert_eq!(window.plan_len(), 4, "the two writes and two searches");
+        assert_eq!(
+            window.dead_stores(),
+            4,
+            "destination, carry-out and both latches"
+        );
+    }
+
+    #[test]
+    fn a_kept_bit_step_covers_both_latches_of_its_subarray() {
+        let window = window_around_step(vec![latch(TagDest::Tags), latch(TagDest::Acc)], vec![]);
+        assert_eq!(window.plan_len(), 1, "only the step runs");
+        assert_eq!(window.dead_stores(), 2, "both searches are dead");
+    }
+
+    #[test]
+    fn a_kept_bit_step_pins_every_row_it_reads() {
+        // Every cell the step reads is written before it and again after
+        // it. The later writes cover those rows, but the kept step reads
+        // them, so no earlier write may be dropped.
+        let cells = [(4, D), (4, ROW_CARRY), (4, A), (2, G)];
+        let writes = |value| cells.map(|(sub, row)| upd1(sub, row, value)).to_vec();
+        let window = window_around_step(writes(true), writes(false));
+        assert_eq!(window.bit_steps(), 1);
+        assert_eq!(window.plan_len(), 9);
+        assert_eq!(window.dead_stores(), 0);
     }
 
     #[test]
@@ -1649,16 +1657,16 @@ mod window_properties {
                 "fusion never grows the plan past the op list"
             );
             prop_assert!(
-                fused.kernel_len() <= parts.iter().map(MicroProgram::kernel_len).sum(),
-                "a window never runs more kernel ops than its parts"
+                fused.plan_len() <= parts.iter().map(MicroProgram::plan_len).sum(),
+                "a window never runs more plan ops than its parts"
             );
 
             // Built from the parts' plans, the window is exactly the
-            // program re-lowering the whole op list gives, op for op with
-            // the side tables resolved, in the form its kernels run.
-            let reference = relowered_window(&ops, &refs);
-            let (got, want) = (fused.kernel(), reference.kernel());
-            prop_assert_eq!(got.ops.len(), want.ops.len(), "kernel length");
+            // program lowering the whole op list gives, op for op with the
+            // side tables resolved.
+            let reference = relowered_window(&ops);
+            let (got, want) = (fused.plan(), reference.plan());
+            prop_assert_eq!(got.ops.len(), want.ops.len(), "plan length");
             for (a, b) in got.ops.iter().zip(&want.ops) {
                 prop_assert_eq!(got.resolve(*a), want.resolve(*b), "plan op");
             }
@@ -1676,19 +1684,16 @@ mod window_properties {
     }
 
     /// The window construction [`MicroProgram::windowed`] replaced, kept
-    /// as its oracle: lower the concatenated op list from scratch, run
-    /// the cross-op peepholes over the whole plan, then derive the kernel
-    /// plan from the result as a window over `parts` does.
-    fn relowered_window(ops: &[MicroOp], parts: &[&MicroProgram]) -> MicroProgram {
+    /// as its oracle: lower the concatenated op list from scratch and run
+    /// the cross-op peepholes over the whole plan.
+    fn relowered_window(ops: &[MicroOp]) -> MicroProgram {
         let mut fused = MicroProgram::new(ops.to_vec());
-        let mut plan = fused.list().into_owned();
+        let mut plan = (*fused.plan).clone();
         let before = store_count(&plan.ops);
         dedup_tag_combines(&mut plan.ops);
         dead_store_eliminate_tagged(&mut plan);
         fused.dead_stores = (before - store_count(&plan.ops)) as u32;
-        fused.plan_len = plan.ops.len();
-        fused.kernel = Arc::new(window_kernel(&plan, parts));
-        fused.list = None;
+        fused.plan = Arc::new(plan);
         fused
     }
 }

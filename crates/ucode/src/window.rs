@@ -196,39 +196,18 @@ mod tests {
         assert_eq!(baseline.save_registers(), fused_csb.save_registers());
     }
 
-    #[test]
-    fn dead_intermediate_shrinks_the_fused_plan() {
-        // v3 is written by the add, never read, then fully overwritten by
-        // the broadcast (full-window writes) — the add's stores are dead.
-        let seq = [
-            VectorOp::Add {
-                vd: 3,
-                vs1: 1,
-                vs2: 2,
-            },
-            VectorOp::Broadcast { vd: 3, rs: 0xab },
-        ];
+    /// The window of `seq` at SEW 32 and its parts, after checking that
+    /// the window leaves the registers running the parts back to back
+    /// does, and that its op list is the parts' concatenation.
+    fn window_of(seq: &[VectorOp]) -> (Vec<CompiledOp>, CompiledOp) {
         let parts: Vec<CompiledOp> = seq.iter().map(|op| CompiledOp::compile(op, 32)).collect();
-        let total: usize = parts.iter().map(|p| p.program().plan_len()).sum();
         let fused = fuse_window(&parts.iter().collect::<Vec<_>>(), false);
-        assert!(
-            fused.program().plan_len() < total,
-            "cross-op dead-store elimination should shrink the fused plan ({} vs {total})",
-            fused.program().plan_len()
-        );
-        assert!(fused.program().dead_stores() > 0, "the win is measurable");
-        // The pass cut the add's bit-steps down to carry chains no fused
-        // step equals; the window runs its parts' fused plans instead of
-        // those, never more kernel ops than the parts.
-        let kernels: usize = parts.iter().map(|p| p.program().kernel_len()).sum();
-        assert_eq!(fused.program().kernel_len(), kernels);
         // The *op* list stays the unoptimized concatenation so recorded
         // stats (cycles, energy) match per-op execution.
         assert_eq!(
             fused.program().len(),
             parts.iter().map(|p| p.program().len()).sum::<usize>()
         );
-
         let mut baseline = seeded();
         {
             let mut s = Sequencer::new(&mut baseline);
@@ -239,6 +218,44 @@ mod tests {
         let mut fused_csb = seeded();
         Sequencer::new(&mut fused_csb).run_program(&fused);
         assert_eq!(baseline.save_registers(), fused_csb.save_registers());
+        (parts, fused)
+    }
+
+    #[test]
+    fn dead_intermediate_shrinks_the_fused_plan() {
+        // v3 is written by the xor, never read, then fully overwritten by
+        // the broadcast (full-window writes) — the xor's stores are dead.
+        let (parts, fused) = window_of(&[
+            VectorOp::Xor {
+                vd: 3,
+                vs1: 1,
+                vs2: 2,
+            },
+            VectorOp::Broadcast { vd: 3, rs: 0xab },
+        ]);
+        let total: usize = parts.iter().map(|p| p.program().plan_len()).sum();
+        assert_eq!(
+            (fused.program().plan_len(), total),
+            (3, 5),
+            "cross-op dead-store elimination should shrink the fused plan"
+        );
+        assert_eq!(fused.program().dead_stores(), 64, "the win is measurable");
+
+        // A dead sum is kept: each of its bit-steps also writes the carry
+        // into the next subarray and latches the tags, which nothing in the
+        // window covers, and a bit-step is kept or dropped whole.
+        let (parts, fused) = window_of(&[
+            VectorOp::Add {
+                vd: 3,
+                vs1: 1,
+                vs2: 2,
+            },
+            VectorOp::Broadcast { vd: 3, rs: 0xab },
+        ]);
+        let lens: Vec<usize> = parts.iter().map(|p| p.program().plan_len()).collect();
+        assert_eq!(lens, [36, 1]);
+        assert_eq!(fused.program().plan_len(), 36 + 1);
+        assert_eq!(fused.program().dead_stores(), 0);
     }
 
     #[test]

@@ -34,8 +34,7 @@
 //! | pool broadcasts (fan-out) | N           | 1            |
 //! | joins (fan-in)            | N           | 1            |
 //! | passes over `ChainBlock`s | N           | 1            |
-//! | op-list plan ops          | Σ plan_len  | ≤ Σ plan_len (cross-op peepholes) |
-//! | plan ops the kernels run  | Σ kernel_len | ≤ Σ kernel_len (a fused bit-step counts one) |
+//! | plan ops the kernels run  | Σ plan_len  | ≤ Σ plan_len (cross-op peepholes) |
 //! | cache lookups             | N           | N + 1 (per-op entries feed the window builder) |
 //! | modeled CSB cycles/energy | Σ per-op    | Σ per-op (bit-identical ledger) |
 

@@ -203,12 +203,9 @@ fn bit_step_counts_are_pinned() {
     assert_eq!(steps(VectorOp::MulScalar { vd, vs1, rs }, 32), 410);
     // What the kernels run: the clears plus one op per bit-step.
     let mul = CompiledOp::compile(&VectorOp::Mul { vd, vs1, vs2 }, 32);
-    assert_eq!(
-        (mul.program().len(), mul.program().kernel_len()),
-        (4225, 561)
-    );
+    assert_eq!((mul.program().len(), mul.program().plan_len()), (4225, 561));
     let add = CompiledOp::compile(&VectorOp::Add { vd, vs1, vs2 }, 32);
-    assert_eq!((add.program().len(), add.program().kernel_len()), (259, 36));
+    assert_eq!((add.program().len(), add.program().plan_len()), (259, 36));
 }
 
 /// Runs `program` on seeded CSBs against scalar reference chains: 4
@@ -253,11 +250,12 @@ fn assert_window_matches_scalar(program: &MicroProgram) {
 
 #[test]
 fn fused_vmul_window_matches_scalar_chains_at_both_spans_armed_and_clean() {
-    // A window of vmul.vv and a following op keeps only its fused form,
-    // derived after dead-store elimination. Inside the window the MSB
-    // carry search of every shift-add pass is dead (the tag group's `Set`
-    // search overwrites its match store unread), so those bit-steps fuse
-    // from a shorter run than in the vmul program alone.
+    // A window of vmul.vv and a following op runs its parts' bit-steps
+    // whole. Its dead stores are the carry-row clears of the subarrays a
+    // shift-add pass never reads: pass j reads and writes the carry rows
+    // of subarrays j and up only, and the next clear covers the carry
+    // row again, so the clear before pass j has j dead writes, 496 in all
+    // (j = 0..31).
     let mul = CompiledOp::compile(
         &VectorOp::Mul {
             vd: 3,
@@ -276,28 +274,28 @@ fn fused_vmul_window_matches_scalar_chains_at_both_spans_armed_and_clean() {
     );
     let window = fuse_window(&[&mul, &next], false);
     let program: &MicroProgram = window.program();
-    assert!(
-        program.dead_stores() >= 32,
-        "the MSB carry searches are dead"
+    assert_eq!(
+        program.dead_stores(),
+        (0..32).sum::<u32>(),
+        "the carry-row clears no pass reads are dead"
     );
     assert_eq!(program.bit_steps(), 528 + 32);
     assert_eq!(program.len(), mul.program().len() + next.program().len());
-    // The dead stores all sit inside bit-steps that still fuse: the
-    // window runs exactly its parts' kernel ops.
+    // The dead stores sit in general updates, not in bit-steps: the
+    // window runs exactly its parts' plan ops.
     assert_eq!(
-        program.kernel_len(),
-        mul.program().kernel_len() + next.program().kernel_len()
+        program.plan_len(),
+        mul.program().plan_len() + next.program().plan_len()
     );
     assert_window_matches_scalar(program);
 }
 
 #[test]
-fn window_whose_passes_cut_its_bit_steps_runs_its_parts_fused() {
-    // v3 is written by the add and fully overwritten by the broadcast:
-    // dead-store elimination drops every destination write of the add,
-    // and the carry chains left of its bit-steps equal no fused step.
-    // Derived from them, the window would run them op by op; it runs its
-    // parts' fused plans end to end instead.
+fn window_keeps_the_bit_steps_of_a_dead_sum_whole() {
+    // v3 is written by the add and fully overwritten by the broadcast,
+    // but each of the add's bit-steps also carries into the next
+    // subarray and latches its tags, which nothing in the window covers.
+    // A bit-step is kept or dropped whole, so all 32 run.
     let add = CompiledOp::compile(
         &VectorOp::Add {
             vd: 3,
@@ -309,12 +307,12 @@ fn window_whose_passes_cut_its_bit_steps_runs_its_parts_fused() {
     let broadcast = CompiledOp::compile(&VectorOp::Broadcast { vd: 3, rs: 0xab }, 32);
     let window = fuse_window(&[&add, &broadcast], false);
     let program: &MicroProgram = window.program();
-    assert!(program.dead_stores() >= 32, "the add's result is dead");
-    assert!(program.plan_len() < add.program().plan_len() + broadcast.program().plan_len());
+    assert_eq!(program.dead_stores(), 0);
     assert_eq!(
-        program.kernel_len(),
-        add.program().kernel_len() + broadcast.program().kernel_len()
+        (add.program().plan_len(), broadcast.program().plan_len()),
+        (36, 1)
     );
+    assert_eq!(program.plan_len(), 37);
     assert_eq!(program.bit_steps(), 32);
     assert_window_matches_scalar(program);
 }
