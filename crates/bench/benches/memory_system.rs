@@ -1,7 +1,7 @@
 //! Criterion benchmarks of the memory substrate: cache-simulator
-//! throughput and the HBM/main-memory models.
+//! throughput and the HBM transfer model.
 
-use cape_mem::{CacheHierarchy, Hbm, MainMemory};
+use cape_mem::{CacheHierarchy, Hbm};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_cache_hierarchy(c: &mut Criterion) {
@@ -29,19 +29,6 @@ fn bench_cache_hierarchy(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_main_memory(c: &mut Criterion) {
-    let mut g = c.benchmark_group("main_memory");
-    g.bench_function("u32_slice_roundtrip_16k", |b| {
-        let mut m = MainMemory::new();
-        let data: Vec<u32> = (0..16_384).collect();
-        b.iter(|| {
-            m.write_u32_slice(0x10_000, &data);
-            m.read_u32_slice(0x10_000, data.len())
-        })
-    });
-    g.finish();
-}
-
 fn bench_hbm_model(c: &mut Criterion) {
     let hbm = Hbm::default();
     c.bench_function("hbm_transfer_model", |b| {
@@ -55,10 +42,5 @@ fn bench_hbm_model(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_cache_hierarchy,
-    bench_main_memory,
-    bench_hbm_model
-);
+criterion_group!(benches, bench_cache_hierarchy, bench_hbm_model);
 criterion_main!(benches);

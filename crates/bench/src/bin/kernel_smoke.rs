@@ -1,5 +1,5 @@
 //! Release gate for the block-SoA kernel layer: a fast differential
-//! harness plus a coarse performance ratio check.
+//! harness plus a performance ratio check.
 //!
 //! 1. **Differential:** representative vector ops (bit-serial adder and
 //!    subtractor, signed compare, reduction, scalar compare, the gated
@@ -20,15 +20,19 @@
 //!    block holds 4 chains. A block whose live lanes all lie in lanes 0-3
 //!    runs the span-4 kernels and any other the span-16 ones, so at 20
 //!    chains one plan goes through both.
-//! 2. **Ratio:** a whole `vadd.vv` program through the block path must
-//!    be no slower than the scalar chain-at-a-time broadcast sweep it
-//!    replaced, with a generous 1.2× noise margin.
+//! 2. **Ratio:** a whole `vadd.vv` program through the block kernels
+//!    against the scalar chain-at-a-time sweep of the same program, both
+//!    on one thread (`RATIO_CHAINS`), must stay at or below `MAX_RATIO`.
+//!    Each of `RATIO_RUNS` paired runs times `BLOCK_REPEATS` broadcasts
+//!    and one sweep, and the gate reads the median pair. The pool's
+//!    fan-out is timed by `capebench` (`csb.broadcast_ms`,
+//!    `csb.dispatch_us`), not here.
 //!
 //! Exits non-zero (panics) on any mismatch, so CI can run it as-is.
 
 use std::time::Instant;
 
-use cape_csb::{Chain, Csb, CsbGeometry, MicroOp, MicroProgram};
+use cape_csb::{scalar_sweep, Chain, Csb, CsbGeometry, MicroProgram};
 use cape_ucode::{fuse_window, CompiledOp, VectorOp};
 
 const CHAINS: usize = 1024;
@@ -38,6 +42,21 @@ const TINY_CHAINS: usize = 4;
 
 /// A full block (span 16) beside a block of 4 chains (span 4).
 const MIXED_CHAINS: usize = 20;
+
+/// Chains of the ratio's CSB: below the 512 active chains at which a
+/// broadcast fans out over the worker pool, so both sides run on one
+/// thread on any host and the ratio compares the kernels alone.
+const RATIO_CHAINS: usize = 256;
+/// Paired runs of the ratio.
+const RATIO_RUNS: usize = 21;
+/// Block broadcasts timed as one unit.
+const BLOCK_REPEATS: usize = 20;
+/// Ceiling on the median block/scalar ratio: the worst of 48 readings
+/// on a 2-vCPU Xeon guest (unpinned and under `taskset -c 0` in turn,
+/// 0.030-0.034) × 1.3, rounded up. A kernel path twice as slow reads
+/// 0.060 or more and fails. The hosted CI runner's spread was not
+/// measured.
+const MAX_RATIO: f64 = 0.045;
 
 /// Deterministically seeded CSB (same scheme as the differential tests).
 fn seeded_csb(chains: usize) -> Csb {
@@ -57,26 +76,6 @@ fn seeded_csb(chains: usize) -> Csb {
     csb
 }
 
-/// The scalar chain-at-a-time broadcast sweep the block kernels replaced:
-/// op-by-op over every non-gated chain, collecting `ReduceTags` sums.
-fn scalar_sweep(chains: &mut [Chain], windows: &[u32], program: &MicroProgram) -> Vec<u64> {
-    let mut sums = vec![0u64; program.reduce_count()];
-    for (chain, &window) in chains.iter_mut().zip(windows) {
-        if window == 0 {
-            continue;
-        }
-        let mut k = 0;
-        for op in program.ops() {
-            let r = chain.execute(op, window);
-            if matches!(op, MicroOp::ReduceTags { .. }) {
-                sums[k] += u64::from(r.expect("ReduceTags returns a count"));
-                k += 1;
-            }
-        }
-    }
-    sums
-}
-
 fn differential(chains: usize, name: &str, program: &MicroProgram, vstart: usize, vl: usize) {
     let mut csb = seeded_csb(chains);
     csb.set_active_window(vstart, vl);
@@ -84,7 +83,7 @@ fn differential(chains: usize, name: &str, program: &MicroProgram, vstart: usize
     let windows: Vec<u32> = (0..chains).map(|c| csb.window(c)).collect();
 
     let block_sums = csb.execute_program(program);
-    let ref_sums = scalar_sweep(&mut reference, &windows, program);
+    let ref_sums = scalar_sweep(&mut reference, &windows, program.ops());
 
     let ctx = format!("{name} chains={chains} window={vstart}..{vl}");
     assert_eq!(block_sums, ref_sums, "reduction sums diverged: {ctx}");
@@ -187,34 +186,29 @@ fn main() {
         }
     }
 
-    println!("[2/2] coarse ratio (vadd.vv, {CHAINS} chains, best of 5)");
-    let iters = 5;
-
-    let mut csb = seeded_csb(CHAINS);
-    let mut block_best = u128::MAX;
-    for _ in 0..iters {
+    println!("[2/2] ratio (vadd.vv, {RATIO_CHAINS} chains, median of {RATIO_RUNS} paired runs)");
+    let mut csb = seeded_csb(RATIO_CHAINS);
+    let mut reference: Vec<Chain> = (0..RATIO_CHAINS).map(|c| csb.chain(c)).collect();
+    let windows: Vec<u32> = (0..RATIO_CHAINS).map(|c| csb.window(c)).collect();
+    let mut ratios = Vec::with_capacity(RATIO_RUNS);
+    for _ in 0..RATIO_RUNS {
         let t = Instant::now();
-        csb.execute_program(add.program());
-        block_best = block_best.min(t.elapsed().as_nanos());
-    }
-
-    let seed = seeded_csb(CHAINS);
-    let mut reference: Vec<Chain> = (0..CHAINS).map(|c| seed.chain(c)).collect();
-    let windows: Vec<u32> = (0..CHAINS).map(|c| seed.window(c)).collect();
-    let mut scalar_best = u128::MAX;
-    for _ in 0..iters {
+        for _ in 0..BLOCK_REPEATS {
+            csb.execute_program(add.program());
+        }
+        let block = t.elapsed().as_secs_f64() / BLOCK_REPEATS as f64;
         let t = Instant::now();
-        scalar_sweep(&mut reference, &windows, add.program());
-        scalar_best = scalar_best.min(t.elapsed().as_nanos());
+        scalar_sweep(&mut reference, &windows, add.program().ops());
+        let scalar = t.elapsed().as_secs_f64();
+        ratios.push(block / scalar);
     }
-
-    let ratio = block_best as f64 / scalar_best as f64;
-    println!("  block  {block_best} ns");
-    println!("  scalar {scalar_best} ns");
-    println!("  ratio  {ratio:.3} (must be <= 1.2)");
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[RATIO_RUNS / 2];
+    println!("  ratios {:.3} .. {:.3}", ratios[0], ratios[RATIO_RUNS - 1]);
+    println!("  ratio  {ratio:.3} (must be <= {MAX_RATIO})");
     assert!(
-        ratio <= 1.2,
-        "block kernel path slower than the scalar sweep: {block_best} ns vs {scalar_best} ns"
+        ratio <= MAX_RATIO,
+        "block kernels regressed: {ratio:.3} of the scalar sweep's time (gate: <= {MAX_RATIO})"
     );
     println!("kernel-smoke: PASS");
 }

@@ -54,8 +54,8 @@ impl Measurement {
 }
 
 /// The fusion-gate workload: a Phoenix-style string-match scan sized
-/// for a 4k-chain machine, shared by the `fused_window` Criterion group
-/// and the `fusion_smoke` release gate.
+/// for a 4k-chain machine, shared by the `fusion_smoke` release gate and
+/// `capebench`'s `scan131k` workload.
 ///
 /// The text window is loaded once and stays CSB-resident; every
 /// iteration then runs *exactly one fusion window* (32 fusible ops) of

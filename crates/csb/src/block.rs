@@ -1029,8 +1029,8 @@ mod tests {
     }
 
     /// Runs the lowered plan on the block at span `N`, armed, and the
-    /// original microops on the per-lane reference chains (skipping
-    /// power-gated lanes), then asserts bit-exact state in all 16 lanes,
+    /// original microops on the per-lane reference chains through
+    /// `scalar_sweep`, then asserts bit-exact state in all 16 lanes,
     /// identical reduction sums and parity that the per-broadcast fold
     /// kept exact.
     fn assert_block_matches_reference<const N: usize>(win: Lanes, seed: u32) {
@@ -1045,20 +1045,7 @@ mod tests {
             "legit execution broke parity (seed {seed})"
         );
 
-        let mut ref_sums = vec![0u64; program.reduce_count()];
-        for (lane, chain) in chains.iter_mut().enumerate() {
-            if win[lane] == 0 {
-                continue; // power-gated
-            }
-            let mut k = 0;
-            for op in program.ops() {
-                let r = chain.execute(op, win[lane]);
-                if matches!(op, MicroOp::ReduceTags { .. }) {
-                    ref_sums[k] += u64::from(r.unwrap());
-                    k += 1;
-                }
-            }
-        }
+        let ref_sums = crate::scalar_sweep(&mut chains, &win, program.ops());
 
         assert_eq!(block_sums, ref_sums, "reduction sums (seed {seed})");
         for (lane, chain) in chains.iter().enumerate() {

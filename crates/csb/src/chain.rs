@@ -253,6 +253,44 @@ impl Chain {
     }
 }
 
+/// The scalar oracle of every differential test: runs `ops` over
+/// `chains` chain by chain, each op in order through [`Chain::execute`]
+/// under that chain's `windows` entry, and returns one popcount per
+/// [`MicroOp::ReduceTags`], summed across chains, in op order. A chain
+/// whose window is 0 is power-gated and executes nothing, as in the
+/// hardware.
+///
+/// # Panics
+///
+/// Panics if `chains` and `windows` differ in length.
+pub fn scalar_sweep<'a>(
+    chains: &mut [Chain],
+    windows: &[u32],
+    ops: impl IntoIterator<Item = &'a MicroOp>,
+) -> Vec<u64> {
+    assert_eq!(chains.len(), windows.len(), "one window per chain");
+    let ops: Vec<&MicroOp> = ops.into_iter().collect();
+    let reduces = ops
+        .iter()
+        .filter(|op| matches!(op, MicroOp::ReduceTags { .. }))
+        .count();
+    let mut sums = vec![0u64; reduces];
+    for (chain, &window) in chains.iter_mut().zip(windows) {
+        if window == 0 {
+            continue;
+        }
+        let mut k = 0;
+        for op in &ops {
+            let r = chain.execute(op, window);
+            if matches!(op, MicroOp::ReduceTags { .. }) {
+                sums[k] += u64::from(r.expect("ReduceTags returns a count"));
+                k += 1;
+            }
+        }
+    }
+    sums
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

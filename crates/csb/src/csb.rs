@@ -652,34 +652,15 @@ impl Csb {
     }
 }
 
-/// The scalar oracle for differential tests: materializes every chain of
-/// `csb` as a [`Chain`], runs each op in order on every chain with a live
-/// window (power-gated chains never execute anything), and sums the
-/// [`MicroOp::ReduceTags`] popcounts across chains in op order.
+/// Materializes every chain of `csb` as a [`Chain`] and runs `ops` over
+/// them through [`crate::scalar_sweep`]: the chains and sums a broadcast
+/// must match.
 #[cfg(test)]
 pub(crate) fn scalar_reference(csb: &Csb, ops: &[MicroOp]) -> (Vec<Chain>, Vec<u64>) {
-    let mut chains: Vec<Chain> = (0..csb.geometry().num_chains())
-        .map(|c| csb.chain(c))
-        .collect();
-    let reduces = ops
-        .iter()
-        .filter(|op| matches!(op, MicroOp::ReduceTags { .. }))
-        .count();
-    let mut sums = vec![0u64; reduces];
-    for (c, chain) in chains.iter_mut().enumerate() {
-        let window = csb.window(c);
-        if window == 0 {
-            continue;
-        }
-        let mut k = 0;
-        for op in ops {
-            let r = chain.execute(op, window);
-            if matches!(op, MicroOp::ReduceTags { .. }) {
-                sums[k] += u64::from(r.expect("ReduceTags returns a count"));
-                k += 1;
-            }
-        }
-    }
+    let n = csb.geometry().num_chains();
+    let mut chains: Vec<Chain> = (0..n).map(|c| csb.chain(c)).collect();
+    let windows: Vec<u32> = (0..n).map(|c| csb.window(c)).collect();
+    let sums = crate::scalar_sweep(&mut chains, &windows, ops);
     (chains, sums)
 }
 

@@ -56,7 +56,7 @@ mod subarray;
 
 pub use bitmat::transpose32;
 pub use block::BLOCK_LANES;
-pub use chain::Chain;
+pub use chain::{scalar_sweep, Chain};
 pub use csb::{Csb, CsbSnapshot};
 pub use fault::{FaultConfig, FaultKind, FaultStats, RemapOutcome, ScrubReport, StruckRow};
 pub use geometry::{CsbGeometry, ElementLocation, SUBARRAYS_PER_CHAIN, SUBARRAY_COLS};

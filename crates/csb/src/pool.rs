@@ -483,22 +483,8 @@ mod tests {
     /// reference the block-backed shard must match bit for bit.
     fn reference_run(shard: &Shard, ops: &[MicroOp]) -> (Vec<Chain>, Vec<u64>) {
         let mut chains: Vec<Chain> = (0..shard.len()).map(|c| shard.chain(c)).collect();
-        let mut sums = Vec::new();
-        for op in ops {
-            let mut sum = 0u64;
-            for (c, chain) in chains.iter_mut().enumerate() {
-                let w = shard.window(c);
-                if w == 0 {
-                    continue; // power-gated
-                }
-                if let Some(r) = chain.execute(op, w) {
-                    sum += u64::from(r);
-                }
-            }
-            if matches!(op, MicroOp::ReduceTags { .. }) {
-                sums.push(sum);
-            }
-        }
+        let windows: Vec<u32> = (0..shard.len()).map(|c| shard.window(c)).collect();
+        let sums = crate::scalar_sweep(&mut chains, &windows, ops);
         (chains, sums)
     }
 

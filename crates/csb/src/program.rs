@@ -1635,7 +1635,8 @@ mod window_properties {
             vl_raw in 0usize..1024,
         ) {
             let want = scalar_reference(&seeded_csb(vstart_raw, vl_raw), &ops);
-            check(&MicroProgram::new(ops.clone()), vstart_raw, vl_raw, &want);
+            let whole = MicroProgram::new(ops.clone());
+            check(&whole, vstart_raw, vl_raw, &want);
 
             // Split at arbitrary "instruction" boundaries and fuse.
             let mut parts: Vec<MicroProgram> = Vec::new();
@@ -1652,6 +1653,12 @@ mod window_properties {
             let refs: Vec<&MicroProgram> = parts.iter().collect();
             let fused = MicroProgram::windowed(&refs);
             check(&fused, vstart_raw, vl_raw, &want);
+            // A program's length is its stats' total and its op count,
+            // whole or split.
+            for p in [&whole, &fused] {
+                prop_assert_eq!(p.len(), ops.len(), "len is the op count");
+                prop_assert_eq!(p.len() as u64, p.stats().total(), "len is the stats' total");
+            }
             prop_assert!(
                 fused.plan_len() <= fused.len(),
                 "fusion never grows the plan past the op list"

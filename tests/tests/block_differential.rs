@@ -8,9 +8,9 @@
 
 mod common;
 
-use cape_csb::{Chain, FaultConfig, MicroProgram};
+use cape_csb::{scalar_sweep, Chain, FaultConfig, MicroProgram};
 use cape_ucode::{fuse_window, CompiledOp, VectorOp};
-use common::{all_ops, reference_program, seeded_csb};
+use common::{all_ops, seeded_csb};
 
 /// Runs `op`'s compiled microop program through the block-backed CSB and
 /// through scalar reference chains seeded with identical state, then
@@ -27,7 +27,7 @@ fn assert_block_matches_scalar(op: &VectorOp, sew: usize, vstart: usize, vl: usi
 
     let compiled = CompiledOp::compile(op, sew);
     let block_sums = csb.execute_program(compiled.program());
-    let ref_sums = reference_program(&mut reference, &windows, compiled.program());
+    let ref_sums = scalar_sweep(&mut reference, &windows, compiled.program().ops());
 
     let ctx = format!("{op:?} sew={sew} window={vstart}..{vl} chains={chains}");
     assert_eq!(block_sums, ref_sums, "reduction sums: {ctx}");
@@ -231,7 +231,7 @@ fn assert_window_matches_scalar(program: &MicroProgram) {
             let ctx = format!("chains={chains} window={vstart}..{vl} armed={armed}");
             assert_eq!(
                 sums,
-                reference_program(&mut reference, &windows, program),
+                scalar_sweep(&mut reference, &windows, program.ops()),
                 "{ctx}"
             );
             assert_eq!(csb.stats(), program.stats(), "microop stats: {ctx}");

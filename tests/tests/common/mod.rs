@@ -1,7 +1,8 @@
 //! Fixtures shared by the op-level differential suites: the operation
-//! list, the seeded CSB, and the scalar [`Chain`] reference broadcast.
+//! list and the seeded CSB. The suites check against
+//! [`cape_csb::scalar_sweep`].
 
-use cape_csb::{Chain, Csb, CsbGeometry, MicroOp, MicroProgram};
+use cape_csb::{Csb, CsbGeometry};
 use cape_ucode::{LogicOp, VectorOp};
 
 /// Every operation shape the sequencer accepts, with registers chosen to
@@ -192,29 +193,4 @@ pub fn seeded_csb(chains: usize) -> Csb {
     let sparse: Vec<u32> = (0..n).map(|e| u32::from(e % 97 == 41)).collect();
     csb.write_vector(4, &sparse);
     csb
-}
-
-/// Runs a microop program over scalar reference [`Chain`]s, exactly as
-/// the pre-block broadcast loop did: chain by chain, op by op, skipping
-/// power-gated (fully-masked) chains, summing `ReduceTags` popcounts.
-pub fn reference_program(
-    chains: &mut [Chain],
-    windows: &[u32],
-    program: &MicroProgram,
-) -> Vec<u64> {
-    let mut sums = vec![0u64; program.reduce_count()];
-    for (chain, &window) in chains.iter_mut().zip(windows) {
-        if window == 0 {
-            continue; // power-gated chain: never executes anything
-        }
-        let mut k = 0;
-        for op in program.ops() {
-            let r = chain.execute(op, window);
-            if matches!(op, MicroOp::ReduceTags { .. }) {
-                sums[k] += u64::from(r.expect("ReduceTags returns a count"));
-                k += 1;
-            }
-        }
-    }
-    sums
 }

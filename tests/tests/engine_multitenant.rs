@@ -48,12 +48,17 @@ fn sixty_four_concurrent_jobs_match_their_solo_runs() {
     });
 
     // Admit the full mix: 8 kernels x 8 instances = 64 concurrent jobs.
+    // Instance 3 of every kernel takes a Section V-C page fault at
+    // element 7 of its first vector memory access, so one tenant per
+    // kernel restarts mid-batch.
     let mut ids = Vec::new();
     for instance in 0..INSTANCES_PER_KERNEL {
         for (k, w) in suite.iter().enumerate() {
-            let id = engine
-                .submit(phoenix_job(w.as_ref(), instance))
-                .expect("queue sized for the whole mix");
+            let mut spec = phoenix_job(w.as_ref(), instance);
+            if instance == 3 {
+                spec = spec.with_fault_at(7);
+            }
+            let id = engine.submit(spec).expect("queue sized for the whole mix");
             ids.push((id, k));
         }
     }
@@ -66,6 +71,8 @@ fn sixty_four_concurrent_jobs_match_their_solo_runs() {
     let report = engine.run();
     assert_eq!(report.jobs.len(), 64);
     assert_eq!(report.completed(), 64, "every tenant must halt cleanly");
+    let faults: u64 = report.jobs.iter().map(|j| j.faults).sum();
+    assert_eq!(faults, suite.len() as u64, "one armed fault per kernel");
 
     // Bit-exact isolation: each tenant's outputs equal its solo run.
     for (id, k) in &ids {

@@ -12,9 +12,9 @@
 
 mod common;
 
-use cape_csb::{Chain, Csb, CsbSnapshot, MicroOp, TOTAL_ROWS};
+use cape_csb::{scalar_sweep, Chain, Csb, CsbSnapshot, MicroOp, TOTAL_ROWS};
 use cape_ucode::CompiledOp;
-use common::{all_ops, reference_program, seeded_csb};
+use common::{all_ops, seeded_csb};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -140,7 +140,7 @@ fn run(chains: usize, steps: &[Step]) {
                 let windows: Vec<u32> = (0..n).map(|c| csb.window(c)).collect();
                 let compiled = CompiledOp::compile(&ops[op], sew);
                 csb.execute_program(compiled.program());
-                reference_program(&mut model, &windows, compiled.program());
+                scalar_sweep(&mut model, &windows, compiled.program().ops());
             }
             Step::WriteVector {
                 reg,

@@ -9,9 +9,9 @@
 
 mod common;
 
-use cape_csb::{Chain, Csb};
+use cape_csb::{scalar_sweep, Chain, Csb};
 use cape_ucode::{CompiledOp, Sequencer, VectorOp};
-use common::{all_ops, reference_program, seeded_csb};
+use common::{all_ops, seeded_csb};
 
 /// Applies `op`'s post-broadcast semantics to the reference chains from
 /// element reads, independently of the sequencer's post-processing, and
@@ -66,7 +66,7 @@ fn assert_program_matches_scalar(
 
     let compiled = CompiledOp::compile(op, sew);
     let outcome = Sequencer::with_width(&mut csb, sew).run_program(&compiled);
-    reference_program(&mut reference, &windows, compiled.program());
+    scalar_sweep(&mut reference, &windows, compiled.program().ops());
     let scalar = reference_post(op, sew, &csb, &mut reference);
 
     let ctx = format!("{op:?} sew={sew} window={vstart}..{vl} chains={chains}");
